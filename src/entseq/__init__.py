@@ -35,6 +35,8 @@ from .noise_model import (
 from .sequence_engine import (
     EnsembleMetrics,
     SequenceParams,
+    ensemble_gates,
+    ensemble_metrics,
     evaluate_solution,
     evolve,
     gate_error,
@@ -45,11 +47,9 @@ from .optimizer import (
     OptimizationResult,
     OptimizerConfig,
     SolutionStore,
+    SequenceObjective,
     cascade_optimize,
-    finite_difference_gradient,
     initialize_guess,
-    minimize,
-    objective_J,
 )
 
 __version__ = "0.1.0"

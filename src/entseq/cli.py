@@ -109,25 +109,13 @@ def cmd_optimize(args):
         print(msg, flush=True)
 
     results = cascade_optimize(sorted(n_list), noise, opt, store=store, progress=progress)
-    rows = []
-    for res in results:
-        N = res.params.N
-        eps_unc = uncorrected_error(noise, N, opt.ensemble_size, seed=res.seeds["ensemble_seed"])
-        rows.append(
-            (
-                N,
-                eps_unc,
-                res.final_metrics.epsilon,
-                res.final_metrics.epsilon_pe,
-                res.iterations,
-                res.wall_time_s,
-            )
-        )
     csv_path = out / "optimize_summary.csv"
     with csv_path.open("w") as fh:
         fh.write("N,epsilon_uncorrected,epsilon_optimized,epsilon_pe,iterations,wall_time_s\n")
-        for N, e0, e1, epe, nit, wall in rows:
-            fh.write(f"{N},{_fmt(e0)},{_fmt(e1)},{_fmt(epe)},{nit},{wall:.3f}\n")
+        for res in results:
+            m = res.final_metrics
+            fh.write(f"{res.params.N},{_fmt(res.epsilon_uncorrected)},{_fmt(m.epsilon)},"
+                     f"{_fmt(m.epsilon_pe)},{res.iterations},{res.wall_time_s:.3f}\n")
     print(f"wrote {csv_path} and {len(results)} solution files to {out}")
     if len(results) != len(n_list):
         return 2
@@ -297,8 +285,6 @@ def build_parser():
         sp.add_argument("--out", default=out_default,
                         help="output directory" if out_default else
                         "output directory (reports go to stdout when omitted)")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads (performance only; results invariant)")
 
     sp = sub.add_parser("optimize", help="cascade-optimize sequence lengths")
     common(sp)
@@ -307,6 +293,8 @@ def build_parser():
     sp = sub.add_parser("contour", help="noise-strength grid sweep of a solution")
     common(sp)
     sp.add_argument("--solution", required=True)
+    sp.add_argument("--threads", type=int, default=1,
+                    help="worker threads (performance only; results invariant)")
     sp.set_defaults(func=cmd_contour)
 
     sp = sub.add_parser("evaluate", help="evaluate a solution under a noise config")

@@ -16,6 +16,7 @@ independent of evaluation order and worker count.
 """
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,13 +51,16 @@ class NoiseConfig:
     def __post_init__(self):
         if self.kind not in (QUASISTATIC, ONE_OVER_F):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.sigma_nonlocal < 0 or self.sigma_local < 0:
-            raise ValueError("noise amplitudes must be >= 0")
-        if self.kind == ONE_OVER_F:
-            if not self.nu_min < self.nu_max:
-                raise ValueError("nu_min must be below nu_max")
-            if self.n_fluctuators < 1:
-                raise ValueError("need at least one fluctuator")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.sigma_nonlocal, self.sigma_local)):
+            raise ValueError("noise amplitudes must be finite and >= 0")
+        if not (math.isfinite(self.gate_time_T) and self.gate_time_T > 0):
+            raise ValueError("gate_time_T must be finite and positive")
+        if not math.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
+        if not 0 < self.nu_min < self.nu_max < math.inf:
+            raise ValueError("need 0 < nu_min < nu_max, both finite")
+        if self.kind == ONE_OVER_F and self.n_fluctuators < 1:
+            raise ValueError("need at least one fluctuator")
         self.channels = tuple((int(i), int(j)) for i, j in self.channels)
         if not self.channels or (0, 0) in self.channels:
             raise ValueError("channels must be nonempty and exclude (0, 0)")
@@ -187,15 +191,6 @@ def fluctuator_weights(config):
     return w / np.sqrt((w ** 2).sum())
 
 
-def _sample_bank(config, rng):
-    weights = fluctuator_weights(config)
-    traces = [
-        sample_rtn_trace(nu, config.gate_time_T, rng)
-        for nu in fluctuator_rates(config)
-    ]
-    return traces, weights
-
-
 def _bank_value(traces, weights, t):
     out = np.zeros(np.shape(t))
     for trace, w in zip(traces, weights):
@@ -223,9 +218,11 @@ def sample_one_over_f(config, N, rng):
     T = config.gate_time_T
     lo = np.arange(N) * T / N
     hi = lo + T / N
+    rates = fluctuator_rates(config)
+    weights = fluctuator_weights(config)
 
     def sampled_trace(sigma):
-        traces, weights = _sample_bank(config, rng)
+        traces = [sample_rtn_trace(nu, T, rng) for nu in rates]
         return sigma * _bank_value(traces, weights, rng.uniform(lo, hi))
 
     delta = np.stack(

@@ -10,9 +10,13 @@ realizations.  The ensemble is frozen for the whole minimization of one
 sequence length (common random numbers) so the optimizer sees a deterministic
 function; it is resampled between lengths.
 
-Minimization uses SciPy's L-BFGS-B with a forward-difference gradient
-(computed here, on the same frozen ensemble, with segment prefix/suffix
-products so one gradient costs O(N) instead of O(N^2) chain rebuilds).
+Every value is computed from one evaluation of the sequence kernel
+``sequence_engine.ensemble_gates``, which gives the noisy gates U_m and the
+noise-free target O; J and the reported metrics are pure functions of
+(U, O).  Minimization uses SciPy's L-BFGS-B with a forward-difference gradient
+(computed here, on the same frozen ensemble, with prefix/suffix products of
+the kernel's segment operators so one gradient costs O(N) instead of O(N^2)
+chain rebuilds).
 The termination conditions map one-to-one onto L-BFGS-B's ``ftol``
 (relative J decrease with the max{|J_k|, |J_k+1|, 1} denominator) and
 ``pgtol`` (projected-gradient max-norm).
@@ -22,15 +26,15 @@ plain descent: repeated descents until the relative-decrease test fails
 between rounds ("polish"), plus seeded perturbation kicks restarted from the
 best point so far.  Plain L-BFGS-B reliably stalls in razor-thin valleys of
 this landscape; the kicks recover another factor of 2-3 in final error and
-cost only seconds at desk scale.
+cost only seconds at desk scale.  Every descent, polish and search candidate
+is a ``Descent`` record.
 """
 
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import scipy.optimize
@@ -38,14 +42,16 @@ import scipy.optimize
 from . import noise_model
 from .sequence_engine import (
     SequenceParams,
-    chain_product,
+    ensemble_gates,
+    ensemble_metrics,
     ensemble_slices,
     gate_error,
+    segment_operators,
     target_gate,
     zz_phase_slice,
 )
 from .gate_algebra import local_rotation
-from .weyl_geometry import pe_fidelity_many, pe_functional_many
+from .weyl_geometry import pe_functional_many
 
 TERM_TOL_J = "tol_J"
 TERM_TOL_GRADJ = "tol_gradJ"
@@ -58,6 +64,10 @@ TERM_LINE_SEARCH = "line_search_failure"
 PE_TARGET = 1e-8
 PE_J_MARGIN = 1.15
 PE_REPAIR_WEIGHTS = (4.0, 16.0, 64.0)
+
+
+def _finite_positive(v):
+    return math.isfinite(v) and v > 0
 
 
 @dataclass
@@ -74,10 +84,21 @@ class OptimizerConfig:
     kick_scales: tuple = (0.02, 0.05, 0.15)
 
     def __post_init__(self):
-        if self.tol_J <= 0 or self.tol_gradJ <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.ensemble_size < 1:
-            raise ValueError("ensemble size must be >= 1")
+        if not all(_finite_positive(v) for v in (self.tol_J, self.tol_gradJ, self.fd_step)):
+            raise ValueError("tol_J, tol_gradJ and fd_step must be finite and positive")
+        if min(self.ensemble_size, self.history_size, self.max_iterations,
+               self.polish_rounds) < 1:
+            raise ValueError(
+                "ensemble_size, history_size, max_iterations and polish_rounds must be >= 1"
+            )
+        if self.n_kicks < 0:
+            raise ValueError("n_kicks must be >= 0")
+        if not self.kick_scales or not all(_finite_positive(v) for v in self.kick_scales):
+            raise ValueError("kick_scales must be nonempty, finite and positive")
+        if self.bounds is not None:
+            lo, hi = self.bounds
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ValueError("bounds must be finite with lo < hi")
 
     def to_dict(self):
         d = {
@@ -114,7 +135,10 @@ class OptimizationResult:
     termination_reason: str
     config: dict
     seeds: dict
-    # wall time is kept off to_dict() so solution files stay reproducible
+    # both kept off to_dict(): the uncorrected error (identity rotations on
+    # the same ensemble) goes to the summary CSV only, and the wall time
+    # would make solution files irreproducible
+    epsilon_uncorrected: float
     wall_time_s: float = 0.0
 
     def to_dict(self):
@@ -132,6 +156,11 @@ class OptimizationResult:
         }
 
 
+def objective_value(U, O, d_weight=1.0):
+    """J = mean_m[eps + d_weight * D] of noisy gates ``U`` against ``O``."""
+    return float(np.mean(gate_error(U, O) + d_weight * pe_functional_many(U)))
+
+
 class SequenceObjective:
     """J and its forward-difference gradient on a frozen noise ensemble."""
 
@@ -140,47 +169,31 @@ class SequenceObjective:
         self.M = len(ensemble)
         self.fd_step = fd_step
         self.slices, self.delta_eta = ensemble_slices(ensemble)
-        self.Z = zz_phase_slice(N)
-        self.one_plus_de = 1.0 + self.delta_eta
 
-    def _target(self, x):
-        return target_gate(SequenceParams(self.N, x))
-
-    def _segment_ops(self, perturbed_angles):
-        R = local_rotation(perturbed_angles)
-        return np.einsum("ab,mnbc,mncd->mnad", self.Z, self.slices, R)
-
-    def _J_from(self, U, O, d_weight=1.0):
-        return float(np.mean(gate_error(U, O) + d_weight * pe_functional_many(U)))
+    def gates(self, x):
+        """(U, O) at x: the kernel on this objective's ensemble."""
+        return ensemble_gates(x, self.slices, self.delta_eta)
 
     def value(self, x, d_weight=1.0):
-        x = np.asarray(x, dtype=float)
-        perturbed = x.reshape(1, self.N, 6) * self.one_plus_de
-        U = chain_product(self._segment_ops(perturbed))
-        return self._J_from(U, self._target(x), d_weight)
-
-    def terms(self, x):
-        """(mean gate error, mean PE functional) at x."""
-        x = np.asarray(x, dtype=float)
-        perturbed = x.reshape(1, self.N, 6) * self.one_plus_de
-        U = chain_product(self._segment_ops(perturbed))
-        O = self._target(x)
-        return float(np.mean(gate_error(U, O))), float(np.mean(pe_functional_many(U)))
+        return objective_value(*self.gates(x), d_weight)
 
     def epsilon_pe(self, x):
-        x = np.asarray(x, dtype=float)
-        perturbed = x.reshape(1, self.N, 6) * self.one_plus_de
-        U = chain_product(self._segment_ops(perturbed))
-        return float(np.mean(1.0 - pe_fidelity_many(U)))
+        return ensemble_metrics(*self.gates(x)).epsilon_pe
+
+    def metrics(self, x):
+        """Full EnsembleMetrics at x (per-realization eps and eps_PE)."""
+        return ensemble_metrics(*self.gates(x))
 
     def value_and_grad(self, x, d_weight=1.0):
         """Forward differences on the frozen ensemble; the target gate is
         displaced together with the evolution (it shares the angles)."""
         x = np.asarray(x, dtype=float)
         N, M, h = self.N, self.M, self.fd_step
-        O = self._target(x)
-        perturbed = x.reshape(1, N, 6) * self.one_plus_de
-        T = self._segment_ops(perturbed)
+        O = target_gate(SequenceParams(N, x))
+        one_plus_de = 1.0 + self.delta_eta
+        perturbed = x.reshape(1, N, 6) * one_plus_de
+        T = segment_operators(perturbed, self.slices)
+        Z = zz_phase_slice(N)
 
         # prefix[k] = T_(N-1) ... T_(k+1), suffix[k] = T_(k-1) ... T_0
         eye = np.broadcast_to(np.eye(4, dtype=complex), (M, 4, 4))
@@ -196,7 +209,7 @@ class SequenceObjective:
             suffix[k] = acc
             acc = T[:, k] @ acc
 
-        J0 = self._J_from(U, O, d_weight)
+        J0 = objective_value(U, O, d_weight)
         grad = np.empty(6 * N)
         for k in range(N):
             seg = perturbed[:, k]
@@ -205,38 +218,12 @@ class SequenceObjective:
                 xd = x.copy()
                 xd[i] += h
                 seg_d = seg.copy()
-                seg_d[:, s] = xd[i] * self.one_plus_de[:, k, s]
-                Td = self.Z @ (self.slices[:, k] @ local_rotation(seg_d))
+                seg_d[:, s] = xd[i] * one_plus_de[:, k, s]
+                Td = Z @ (self.slices[:, k] @ local_rotation(seg_d))
                 Ud = prefix[k] @ Td @ suffix[k]
-                Jd = self._J_from(Ud, self._target(xd), d_weight)
+                Jd = objective_value(Ud, target_gate(SequenceParams(N, xd)), d_weight)
                 grad[i] = (Jd - J0) / h
         return J0, grad
-
-    def metrics(self, x):
-        """Full EnsembleMetrics at x (per-realization eps and eps_PE)."""
-        from .sequence_engine import EnsembleMetrics
-
-        x = np.asarray(x, dtype=float)
-        perturbed = x.reshape(1, self.N, 6) * self.one_plus_de
-        U = chain_product(self._segment_ops(perturbed))
-        eps = gate_error(U, self._target(x))
-        eps_pe = 1.0 - pe_fidelity_many(U)
-        per = list(zip(eps.tolist(), eps_pe.tolist()))
-        return EnsembleMetrics(float(np.mean(eps)), float(np.mean(eps_pe)), per)
-
-
-def objective_J(params, ensemble):
-    """Mean over the ensemble of gate error plus PE functional."""
-    obj = SequenceObjective(params.N, ensemble)
-    return obj.value(params.angles)
-
-
-def finite_difference_gradient(params, ensemble, fd_step=1e-7):
-    """Forward-difference gradient of J on the given (frozen) ensemble."""
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
-    obj = SequenceObjective(params.N, ensemble, fd_step=fd_step)
-    return obj.value_and_grad(params.angles)[1]
 
 
 def relative_decrease(J_prev, J_next):
@@ -257,8 +244,19 @@ def classify_termination(message, nit, max_iterations):
     return TERM_LINE_SEARCH
 
 
+@dataclass
+class Descent:
+    """End point of an L-BFGS-B descent: x, J there, iterations and SciPy's
+    status message."""
+
+    x: np.ndarray
+    J: float
+    nit: int
+    message: str
+
+
 def _lbfgs(obj, x0, config, d_weight=1.0):
-    """One L-BFGS-B descent; returns (scipy result, accepted-J history)."""
+    """One L-BFGS-B descent; returns (Descent, accepted-J history)."""
     evals = {}
 
     def fun(x):
@@ -266,10 +264,11 @@ def _lbfgs(obj, x0, config, d_weight=1.0):
         evals[x.tobytes()] = J
         return J, g
 
-    history = [obj.value(np.asarray(x0, dtype=float), d_weight)]
+    def J_at(x):
+        J = evals.get(x.tobytes())
+        return obj.value(x, d_weight) if J is None else J
 
-    def callback(xk):
-        history.append(evals.get(xk.tobytes(), obj.value(xk, d_weight)))
+    history = [obj.value(np.asarray(x0, dtype=float), d_weight)]
 
     bounds = None
     if config.bounds is not None:
@@ -281,7 +280,7 @@ def _lbfgs(obj, x0, config, d_weight=1.0):
         jac=True,
         method="L-BFGS-B",
         bounds=bounds,
-        callback=callback,
+        callback=lambda xk: history.append(J_at(xk)),
         options={
             "ftol": config.tol_J,
             "gtol": config.tol_gradJ,
@@ -289,43 +288,22 @@ def _lbfgs(obj, x0, config, d_weight=1.0):
             "maxcor": config.history_size,
         },
     )
-    return res, history
-
-
-def minimize(initial, ensemble, config):
-    """Single bounded quasi-Newton descent of J from ``initial``.
-
-    Terminates on the relative J-decrease test, the projected-gradient
-    max-norm test, or the iteration cap, whichever fires first.
-    """
-    obj = SequenceObjective(initial.N, ensemble, fd_step=config.fd_step)
-    res, history = _lbfgs(obj, initial.angles, config)
-    params = SequenceParams(initial.N, res.x)
-    metrics = obj.metrics(res.x)
-    return OptimizationResult(
-        params=params,
-        J_final=float(res.fun),
-        J_history=history,
-        final_metrics=metrics,
-        iterations=int(res.nit),
-        termination_reason=classify_termination(res.message, res.nit, config.max_iterations),
-        config={"optimizer": config.to_dict()},
-        seeds={},
-    )
+    return Descent(res.x, float(res.fun), int(res.nit), res.message), history
 
 
 def _polish(obj, x0, config, d_weight=1.0):
-    """Repeat descents until a round fails the relative-decrease test."""
+    """Repeat descents until a round fails the relative-decrease test;
+    returns (best Descent, J history, total iterations)."""
     x = np.asarray(x0, dtype=float)
     best = None
     history = []
     nit = 0
-    for _ in range(max(config.polish_rounds, 1)):
+    for _ in range(config.polish_rounds):
         res, hist = _lbfgs(obj, x, config, d_weight)
         history.extend(hist)
-        nit += int(res.nit)
-        if best is not None and relative_decrease(best.fun, res.fun) <= config.tol_J:
-            if res.fun < best.fun:
+        nit += res.nit
+        if best is not None and relative_decrease(best.J, res.J) <= config.tol_J:
+            if res.J < best.J:
                 best = res
             break
         best = res
@@ -344,12 +322,12 @@ def _search(obj, inits, config, rng):
     up-weighted generate repair candidates (evaluated and re-polished under
     the true objective before being considered).
     """
-    candidates = []   # (J, eps_PE, scipy result)
+    candidates = []   # (J, eps_PE, Descent)
     history = []
     nit_total = 0
 
     def consider(res):
-        candidates.append((float(res.fun), obj.epsilon_pe(res.x), res))
+        candidates.append((res.J, obj.epsilon_pe(res.x), res))
 
     def select():
         best = min(candidates, key=lambda c: c[0])
@@ -389,13 +367,9 @@ def _search(obj, inits, config, rng):
         if chosen[1] <= PE_TARGET:
             break
         pushed = run_polish(chosen[2].x, d_weight=weight)
-        # the pushed endpoint is itself a candidate (re-polishing under the
-        # true objective may slide back out of the polyhedron)
-        endpoint = SimpleNamespace(
-            x=pushed.x, fun=obj.value(pushed.x), message=pushed.message,
-            nit=pushed.nit,
-        )
-        consider(endpoint)
+        # the pushed endpoint is itself a candidate, scored under the true
+        # objective (re-polishing may slide back out of the polyhedron)
+        consider(replace(pushed, J=obj.value(pushed.x)))
         consider(run_polish(pushed.x))
     _, best_pe, best = select()
     return best, best_pe, history, nit_total
@@ -492,7 +466,7 @@ def cascade_optimize(N_list, noise_config, optimizer_config, store=None,
             )
             result = OptimizationResult(
                 params=SequenceParams(N, best.x),
-                J_final=float(best.fun),
+                J_final=best.J,
                 J_history=history,
                 final_metrics=obj.metrics(best.x),
                 iterations=nit,
@@ -508,6 +482,7 @@ def cascade_optimize(N_list, noise_config, optimizer_config, store=None,
                     "ensemble_seed": ensemble_seed,
                     "search_seed": search_seed,
                 },
+                epsilon_uncorrected=obj.metrics(np.zeros(6 * N)).epsilon,
             )
         except Exception as exc:  # noqa: BLE001 - cascade must continue
             if progress is not None:

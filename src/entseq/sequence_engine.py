@@ -7,7 +7,14 @@ applications of a fixed weakly entangling two-qubit slice:
 
 where ``Z_N`` is the entangling slice, ``D_n = exp(-i Delta_n / N)`` carries
 the noise of segment n, and ``R_n`` is the segment's local rotation.  The
-noise-free target uses the same rotations with ``D_n = 1``.
+noise-free target O uses the same rotations with ``D_n = 1``.
+
+Everything the package reports about a sequence comes from one kernel,
+``ensemble_gates(angles, slices, delta_eta) -> (U, O)``: the noisy gates
+``U_m`` of a frozen ensemble (stacked noise slices and local-angle
+perturbations, see ``ensemble_slices``) and their noise-free target O.  The
+metrics are pure functions of that pair (``ensemble_metrics`` here, the
+objective J in ``optimizer``).
 
 Entangling-slice convention: ``Z_N`` is the principal Nth root of the 2*pi
 phase gate, ``diag(1, 1, 1, exp(2j*pi/N))``, i.e. slicing the identity into N
@@ -119,15 +126,24 @@ def ensemble_slices(ensemble):
     return slices, delta_eta
 
 
-def evolve_many(angles, slices, N):
-    """Noisy evolution operators for a stack of perturbed angle sets.
+def segment_operators(perturbed, slices):
+    """Segment operators ``Z_N D_n R_n`` of every ensemble member, shape
+    ``(M, N, 4, 4)``, from perturbed angles ``(M, N, 6)`` (or ``(1, N, 6)``)
+    and noise slices ``(M, N, 4, 4)``."""
+    Z = zz_phase_slice(slices.shape[1])
+    R = local_rotation(perturbed)
+    return np.einsum("ab,mnbc,mncd->mnad", Z, slices, R)
 
-    ``angles`` has shape ``(M, N, 6)`` (already perturbed), ``slices`` is
-    ``(M, N, 4, 4)``; returns ``(M, 4, 4)``.
+
+def ensemble_gates(angles, slices, delta_eta):
+    """The evaluation kernel: noisy gates ``U`` ``(M, 4, 4)`` of the ensemble
+    given by ``ensemble_slices`` and the noise-free target ``O`` ``(4, 4)``.
+
+    The target uses the *unperturbed* angles; local noise enters only U.
     """
-    Z = zz_phase_slice(N)
-    R = local_rotation(angles)
-    return chain_product(np.einsum("ab,mnbc,mncd->mnad", Z, slices, R))
+    params = SequenceParams(slices.shape[1], angles)
+    perturbed = params.angles.reshape(1, params.N, 6) * (1.0 + delta_eta)
+    return chain_product(segment_operators(perturbed, slices)), target_gate(params)
 
 
 def evolve(params, realization):
@@ -137,9 +153,7 @@ def evolve(params, realization):
         raise ValueError(
             f"realization has {realization.segment_count} segments, params {params.N}"
         )
-    perturbed = noise_model.perturb_angles(params.angles, realization)
-    slices = noise_slice_operators(realization)[None]
-    return evolve_many(perturbed.reshape(1, params.N, 6), slices, params.N)[0]
+    return ensemble_gates(params.angles, *ensemble_slices([realization]))[0][0]
 
 
 def gate_error(U, O):
@@ -147,23 +161,20 @@ def gate_error(U, O):
     return 1.0 - trace_fidelity(U, O)
 
 
-def evaluate_solution(params, ensemble):
-    """Gate error and PE error of ``params`` averaged over a noise ensemble.
-
-    The comparison target is the noise-free sequence with the *unperturbed*
-    angles; local noise enters only the noisy evolution.
-    """
-    if not ensemble:
-        raise ValueError("ensemble must be nonempty")
-    slices, delta_eta = ensemble_slices(ensemble)
-    O = target_gate(params)
-    perturbed = params.angles.reshape(1, params.N, 6) * (1.0 + delta_eta)
-    U = evolve_many(perturbed, slices, params.N)
+def ensemble_metrics(U, O):
+    """Gate error and PE error of noisy gates ``U`` against the target ``O``."""
     eps = gate_error(U, O)
     eps_pe = 1.0 - pe_fidelity_many(U)
     per = list(zip(eps.tolist(), eps_pe.tolist()))
     # np.mean reduces float64 with pairwise (tree) summation
     return EnsembleMetrics(float(np.mean(eps)), float(np.mean(eps_pe)), per)
+
+
+def evaluate_solution(params, ensemble):
+    """Gate error and PE error of ``params`` averaged over a noise ensemble."""
+    if not ensemble:
+        raise ValueError("ensemble must be nonempty")
+    return ensemble_metrics(*ensemble_gates(params.angles, *ensemble_slices(ensemble)))
 
 
 def uncorrected_error(config, N, M, seed=None):

@@ -173,9 +173,9 @@ def w1_indicator_s(g):
 
 def pe_functional_many(U):
     """Perfect-entangler distance functional, batched; >= 0, zero iff PE."""
-    g1, g2, g3 = makhlin_invariants_many(U)
-    d = g3 * np.hypot(g1, g2) - g1
-    s = w1_indicator_s((g1, g2, g3))
+    g = makhlin_invariants_many(U)
+    d = pe_distance_d(g)
+    s = w1_indicator_s(g)
     return np.where((d > 0) & (s > 0), d, np.where((d < 0) & (s < 0), -d, 0.0))
 
 

@@ -226,3 +226,23 @@ def test_config_errors_exit_1(tmp_path, capsys):
     cfg = write_spec(tmp_path, spec, "nolist.json")
     assert run(["optimize", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert run(["evaluate", "--solution", missing]) == 1
+    # rejected when the config is built, not as a failed cascade (exit 2)
+    for section, key, value in (("noise", "sigma_nonlocal", float("nan")),
+                                ("optimizer", "kick_scales", [])):
+        spec = small_spec()
+        spec[section][key] = value
+        cfg = write_spec(tmp_path, spec, f"bad_{key}.json")
+        capsys.readouterr()
+        assert run(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "FAILED" not in capsys.readouterr().out
+
+
+def test_threads_only_on_contour():
+    from entseq.cli import build_parser
+
+    parser = build_parser()
+    with pytest.raises(SystemExit):
+        parser.parse_args(["optimize", "--config", "c.json", "--threads", "2"])
+    args = parser.parse_args(["contour", "--config", "c.json", "--solution", "s.json",
+                              "--threads", "2"])
+    assert args.threads == 2

@@ -44,6 +44,12 @@ def test_config_validation():
         NoiseConfig(kind=ONE_OVER_F, nu_min=5.0, nu_max=1.0)
     with pytest.raises(ValueError):
         NoiseConfig(channels=((0, 0),))
+    for bad in ({"sigma_nonlocal": np.nan}, {"sigma_local": np.inf}, {"gate_time_T": 0.0},
+                {"gate_time_T": np.nan}, {"alpha": np.nan}, {"nu_min": 0.0},
+                {"nu_max": np.inf}):
+        for kind in (QUASISTATIC, ONE_OVER_F):
+            with pytest.raises(ValueError):
+                NoiseConfig(kind=kind, **bad)
 
 
 def test_config_json_round_trip():

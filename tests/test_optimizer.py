@@ -13,16 +13,15 @@ from entseq.optimizer import (
     TERM_MAX_ITER,
     TERM_TOL_GRADJ,
     TERM_TOL_J,
+    _lbfgs,
     cascade_optimize,
     classify_termination,
     derived_seed,
-    finite_difference_gradient,
     initialize_guess,
-    minimize,
-    objective_J,
     relative_decrease,
 )
-from entseq.sequence_engine import SequenceParams
+from entseq.sequence_engine import SequenceParams, gate_error
+from entseq.weyl_geometry import pe_functional_many
 
 QS = NoiseConfig(seed=11)
 FAST = OptimizerConfig(ensemble_size=20, polish_rounds=2, n_kicks=2)
@@ -33,7 +32,7 @@ def test_objective_trivials():
     # target, so J equals the identity-class PE distance of 2
     cfg = replace(QS, sigma_nonlocal=0.0)
     ensemble = make_ensemble(cfg, 2, 3)
-    J = objective_J(SequenceParams(2, np.zeros(12)), ensemble)
+    J = SequenceObjective(2, ensemble).value(np.zeros(12))
     assert J == pytest.approx(2.0, abs=1e-9)
 
 
@@ -44,57 +43,57 @@ def test_objective_zero_for_perfect_entangler():
     x = np.zeros(12)
     x[7] = np.pi / 2   # beta1 of segment 2
     x[10] = np.pi / 2  # beta2 of segment 2
-    J = objective_J(SequenceParams(2, x), ensemble)
     obj = SequenceObjective(2, ensemble)
-    eps, D = obj.terms(x)
+    J = obj.value(x)
+    U, O = obj.gates(x)
+    eps, D = float(np.mean(gate_error(U, O))), float(np.mean(pe_functional_many(U)))
     assert eps == pytest.approx(0.0, abs=1e-12)
     assert J == pytest.approx(D, abs=1e-12)
 
 
 def test_objective_nonnegative_random():
     rng = np.random.default_rng(1)
-    ensemble = make_ensemble(QS, 2, 8)
+    obj = SequenceObjective(2, make_ensemble(QS, 2, 8))
     for _ in range(200):
-        J = objective_J(SequenceParams(2, rng.uniform(-8, 8, 12)), ensemble)
+        J = obj.value(rng.uniform(-8, 8, 12))
         assert J >= 0.0
 
 
 def test_objective_bit_identical_on_frozen_ensemble():
     ensemble = make_ensemble(QS, 3, 10)
-    params = SequenceParams(3, np.random.default_rng(2).uniform(-2, 2, 18))
-    a = objective_J(params, ensemble)
-    b = objective_J(params, ensemble)
+    x = np.random.default_rng(2).uniform(-2, 2, 18)
+    a = SequenceObjective(3, ensemble).value(x)
+    b = SequenceObjective(3, ensemble).value(x)
     assert a == b
 
 
 def test_gradient_matches_naive_fd():
     ensemble = make_ensemble(QS, 2, 6)
-    params = SequenceParams(2, np.random.default_rng(3).uniform(-1, 1, 12))
-    g_fast = finite_difference_gradient(params, ensemble, fd_step=1e-7)
-    J0 = objective_J(params, ensemble)
+    x = np.random.default_rng(3).uniform(-1, 1, 12)
+    obj = SequenceObjective(2, ensemble, fd_step=1e-7)
+    g_fast = obj.value_and_grad(x)[1]
+    J0 = obj.value(x)
     g_naive = np.empty(12)
     for i in range(12):
-        xd = params.angles.copy()
+        xd = x.copy()
         xd[i] += 1e-7
-        g_naive[i] = (objective_J(SequenceParams(2, xd), ensemble) - J0) / 1e-7
+        g_naive[i] = (obj.value(xd) - J0) / 1e-7
     assert np.allclose(g_fast, g_naive, atol=1e-8)
 
 
 def test_gradient_forward_vs_central():
     ensemble = make_ensemble(QS, 2, 10)
     rng = np.random.default_rng(4)
-    params = SequenceParams(2, rng.uniform(-2, 2, 12))
-    g_fwd = finite_difference_gradient(params, ensemble, fd_step=1e-7)
+    x = rng.uniform(-2, 2, 12)
+    obj = SequenceObjective(2, ensemble, fd_step=1e-7)
+    g_fwd = obj.value_and_grad(x)[1]
     g_cen = np.empty(12)
     for i in range(12):
-        xp = params.angles.copy()
-        xm = params.angles.copy()
+        xp = x.copy()
+        xm = x.copy()
         xp[i] += 1e-6
         xm[i] -= 1e-6
-        g_cen[i] = (
-            objective_J(SequenceParams(2, xp), ensemble)
-            - objective_J(SequenceParams(2, xm), ensemble)
-        ) / 2e-6
+        g_cen[i] = (obj.value(xp) - obj.value(xm)) / 2e-6
     scale = max(np.abs(g_cen).max(), 1e-12)
     assert np.abs(g_fwd - g_cen).max() / scale < 1e-3
 
@@ -109,6 +108,27 @@ def test_gradient_synthetic_quadratic():
         options={"ftol": 1e-14, "gtol": 1e-12},
     )
     assert np.abs(res.x).max() < 1e-8
+
+
+@pytest.mark.parametrize("bad", [
+    {"tol_J": float("nan")},
+    {"tol_gradJ": 0.0},
+    {"fd_step": -1.0},
+    {"fd_step": float("inf")},
+    {"history_size": 0},
+    {"max_iterations": 0},
+    {"polish_rounds": 0},
+    {"n_kicks": -1},
+    {"kick_scales": ()},
+    {"kick_scales": (0.1, float("nan"))},
+    {"kick_scales": (0.1, 0.0)},
+    {"bounds": (1.0, -1.0)},
+    {"bounds": (-np.inf, 1.0)},
+])
+def test_config_validation(bad):
+    with pytest.raises(ValueError):
+        OptimizerConfig(**bad)
+    OptimizerConfig(n_kicks=0, bounds=(-1.0, 1.0))  # edge values that are fine
 
 
 def test_relative_decrease_formula():
@@ -139,30 +159,35 @@ def test_minimize_noise_free_reaches_perfect_entangler():
     # identity init sits on a symmetry point of the noise-free landscape;
     # a deterministic offset is enough for the descent test
     x0 = np.full(12, 0.3)
-    result = minimize(SequenceParams(2, x0), ensemble, config)
-    assert result.J_final <= objective_J(SequenceParams(2, x0), ensemble)
-    assert result.J_history[0] >= result.J_history[-1]
-    assert result.termination_reason in (TERM_TOL_J, TERM_TOL_GRADJ)
-    assert result.final_metrics.epsilon == pytest.approx(0.0, abs=1e-10)
-    assert result.final_metrics.epsilon_pe <= 1e-8
+    obj = SequenceObjective(2, ensemble, fd_step=config.fd_step)
+    res, history = _lbfgs(obj, x0, config)
+    assert res.J <= obj.value(x0)
+    assert history[0] >= history[-1]
+    assert classify_termination(res.message, res.nit, config.max_iterations) in (
+        TERM_TOL_J, TERM_TOL_GRADJ)
+    metrics = obj.metrics(res.x)
+    assert metrics.epsilon == pytest.approx(0.0, abs=1e-10)
+    assert metrics.epsilon_pe <= 1e-8
 
 
 def test_minimize_history_matches_objective():
     ensemble = make_ensemble(QS, 2, 10)
     config = OptimizerConfig(ensemble_size=10, max_iterations=5)
-    result = minimize(SequenceParams(2, np.full(12, 0.2)), ensemble, config)
-    assert result.J_history[0] == pytest.approx(
-        objective_J(SequenceParams(2, np.full(12, 0.2)), ensemble)
+    obj = SequenceObjective(2, ensemble, fd_step=config.fd_step)
+    res, history = _lbfgs(obj, np.full(12, 0.2), config)
+    assert history[0] == pytest.approx(
+        SequenceObjective(2, ensemble).value(np.full(12, 0.2))
     )
-    assert result.J_final <= result.J_history[0]
+    assert res.J <= history[0]
 
 
 def test_minimize_respects_bounds():
     ensemble = make_ensemble(QS, 2, 5)
     config = OptimizerConfig(ensemble_size=5, bounds=(-0.5, 0.5), max_iterations=50)
-    result = minimize(SequenceParams(2, np.zeros(12)), ensemble, config)
-    assert np.all(result.params.angles >= -0.5 - 1e-12)
-    assert np.all(result.params.angles <= 0.5 + 1e-12)
+    obj = SequenceObjective(2, ensemble, fd_step=config.fd_step)
+    res, _ = _lbfgs(obj, np.zeros(12), config)
+    assert np.all(res.x >= -0.5 - 1e-12)
+    assert np.all(res.x <= 0.5 + 1e-12)
 
 
 def test_initialize_guess_tiling_rules():
@@ -245,12 +270,13 @@ def test_one_over_f_objective_gradient():
         kind=ONE_OVER_F, sigma_nonlocal=0.2, sigma_local=0.006, seed=61
     )
     ensemble = make_ensemble(cfg, 2, 5)
-    params = SequenceParams(2, np.random.default_rng(7).uniform(-1, 1, 12))
-    g = finite_difference_gradient(params, ensemble, 1e-7)
-    J0 = objective_J(params, ensemble)
+    x = np.random.default_rng(7).uniform(-1, 1, 12)
+    obj = SequenceObjective(2, ensemble, fd_step=1e-7)
+    g = obj.value_and_grad(x)[1]
+    J0 = obj.value(x)
     g_naive = np.empty(12)
     for i in range(12):
-        xd = params.angles.copy()
+        xd = x.copy()
         xd[i] += 1e-7
-        g_naive[i] = (objective_J(SequenceParams(2, xd), ensemble) - J0) / 1e-7
+        g_naive[i] = (obj.value(xd) - J0) / 1e-7
     assert np.allclose(g, g_naive, atol=1e-8)
