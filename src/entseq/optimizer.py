@@ -288,7 +288,9 @@ def _lbfgs(obj, x0, config, d_weight=1.0):
             "maxcor": config.history_size,
         },
     )
-    return Descent(res.x, float(res.fun), int(res.nit), res.message), history
+    # after a line-search failure SciPy returns the last accepted x with the
+    # J of its last trial point, so J is read at x from the evaluations
+    return Descent(res.x, J_at(res.x), int(res.nit), res.message), history
 
 
 def _polish(obj, x0, config, d_weight=1.0):

@@ -10,6 +10,7 @@ from entseq.optimizer import (
     OptimizerConfig,
     SequenceObjective,
     SolutionStore,
+    TERM_LINE_SEARCH,
     TERM_MAX_ITER,
     TERM_TOL_GRADJ,
     TERM_TOL_J,
@@ -188,6 +189,22 @@ def test_minimize_respects_bounds():
     res, _ = _lbfgs(obj, np.zeros(12), config)
     assert np.all(res.x >= -0.5 - 1e-12)
     assert np.all(res.x <= 0.5 + 1e-12)
+
+
+def test_lbfgs_J_is_value_at_returned_x():
+    # restarting from a converged point ends in a line-search failure, after
+    # which SciPy's res.fun is the J of the last trial point, not of res.x
+    ensemble = make_ensemble(QS.with_seed(0), 2, 10)
+    config = OptimizerConfig(ensemble_size=10)
+    obj = SequenceObjective(2, ensemble, fd_step=config.fd_step)
+    x = np.random.default_rng(0).uniform(-2, 2, 12)
+    reasons = []
+    for _ in range(4):
+        res, _ = _lbfgs(obj, x, config)
+        assert res.J == obj.value(res.x)
+        reasons.append(classify_termination(res.message, res.nit, config.max_iterations))
+        x = res.x
+    assert TERM_LINE_SEARCH in reasons
 
 
 def test_initialize_guess_tiling_rules():
