@@ -22,12 +22,13 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .noise_model import NoiseConfig, calibrate_amplitude, make_ensemble
-from .optimizer import OptimizerConfig, SolutionStore, cascade_optimize
+from .optimizer import OptimizerConfig, SolutionStore, cascade_optimize, derived_seed
 from .sequence_engine import SequenceParams, evaluate_solution, target_gate, uncorrected_error
 from .weyl_geometry import (
     cartan_decompose,
@@ -128,6 +129,8 @@ def _grid_axis(spec, default):
 
 
 def cmd_contour(args):
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     doc = load_spec(args.config)
     noise = noise_from_spec(doc, args.seed)
     params, _ = load_solution(args.solution)
@@ -142,19 +145,12 @@ def cmd_contour(args):
 
     def eval_point(idx):
         i, j = idx
-        from dataclasses import replace
-
-        from .optimizer import derived_seed
-
         cfg = replace(noise, sigma_local=float(sig_loc[i]), sigma_nonlocal=float(sig_nl[j]))
         ensemble = make_ensemble(cfg, params.N, M, seed=derived_seed(noise.seed, i, j))
         return evaluate_solution(params, ensemble).epsilon
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            eps = list(pool.map(eval_point, points))
-    else:
-        eps = [eval_point(p) for p in points]
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
+        eps = list(pool.map(eval_point, points))
 
     csv_path = out / "contour.csv"
     with csv_path.open("w") as fh:
@@ -252,8 +248,6 @@ def cmd_calibrate(args):
     except RuntimeError as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
         return 2
-    from dataclasses import replace
-
     eps = uncorrected_error(replace(noise, sigma_nonlocal=sigma), N, M)
     payload = {
         "target_uncorrected_error": target,

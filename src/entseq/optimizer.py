@@ -32,6 +32,7 @@ is a ``Descent`` record.
 
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -424,11 +425,17 @@ class SolutionStore:
         return None
 
     def put(self, result):
+        """Store a result; on disk the file is replaced atomically, so an
+        interrupted write leaves the previous solution intact."""
         self._mem[result.params.N] = result.params
         if self.directory is not None:
-            self.path_for(result.params.N).write_text(
-                json.dumps(result.to_dict(), indent=1, sort_keys=True)
-            )
+            path = self.path_for(result.params.N)
+            tmp = path.with_suffix(f".{os.getpid()}.tmp")
+            try:
+                tmp.write_text(json.dumps(result.to_dict(), indent=1, sort_keys=True))
+                os.replace(tmp, path)
+            finally:
+                tmp.unlink(missing_ok=True)
 
 
 def derived_seed(root_seed, *key):

@@ -117,6 +117,10 @@ def cubic_roots(g):
     from the cubic's critical points: a k-fold root (k >= 2) is also a root of
     the derivative, whose quadratic roots are stable, and the remaining root
     follows from the root sum.
+
+    Not on the objective path: :func:`pe_functional_many` decides its side
+    from the invariants directly.  This and :func:`w1_indicator_s` are the
+    reference that the tests check that closed form against.
     """
     g1, g2, g3 = (np.asarray(v, dtype=float) for v in g)
     r = np.hypot(g1, g2)
@@ -166,17 +170,32 @@ def cubic_roots(g):
 
 
 def w1_indicator_s(g):
-    """``s = pi - acos(z1) - acos(z3)`` from the ordered cubic roots."""
+    """``s = pi - acos(z1) - acos(z3)`` from the ordered cubic roots.
+
+    The reference side selector of ``D``; the tests check
+    :func:`pe_functional_many`'s closed-form side test against it.
+    """
     z = cubic_roots(g)
     return np.pi - np.arccos(z[..., 0]) - np.arccos(z[..., 2])
 
 
 def pe_functional_many(U):
-    """Perfect-entangler distance functional, batched; >= 0, zero iff PE."""
-    g = makhlin_invariants_many(U)
-    d = pe_distance_d(g)
-    s = w1_indicator_s(g)
-    return np.where((d > 0) & (s > 0), d, np.where((d < 0) & (s < 0), -d, 0.0))
+    """Perfect-entangler distance functional, batched; >= 0, zero iff PE.
+
+    ``D = d`` where ``d > 0 and s > 0``, ``-d`` where ``d < 0 and s < 0``,
+    else 0, with the side decided in closed form from the invariants.  With
+    ``z1 >= z2 >= z3`` the roots of the :func:`cubic_roots` cubic,
+    ``4d = (z1+z2)(z1+z3)(z2+z3)``, and ``s > 0`` exactly when
+    ``z1 + z3 > 0`` (acos is decreasing).  So ``D != 0`` exactly when the
+    three pair sums ``z_i + z_j`` share a sign.  They are the roots of a
+    real-rooted cubic with elementary symmetric functions ``2 g3``,
+    ``g3^2 + 4r - 1`` and ``4d`` (``r = hypot(g1, g2)``); by Descartes'
+    rule all three share a sign exactly when ``g3^2 + 4r > 1`` and
+    ``g3 d > 0``.
+    """
+    g1, g2, g3 = makhlin_invariants_many(U)
+    d = pe_distance_d((g1, g2, g3))
+    return np.where((g3 * g3 + 4.0 * np.hypot(g1, g2) > 1.0) & (g3 * d > 0), np.abs(d), 0.0)
 
 
 def pe_functional_D(U):

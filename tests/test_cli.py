@@ -235,6 +235,16 @@ def test_config_errors_exit_1(tmp_path, capsys):
         capsys.readouterr()
         assert run(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "FAILED" not in capsys.readouterr().out
+    # contour needs at least one worker thread
+    sol = tmp_path / "ident.json"
+    sol.write_text(json.dumps({"N": 1, "angles": [0.0] * 6}))
+    grid = write_spec(tmp_path, {"schema_version": 1, "noise": NoiseConfig().to_dict(),
+                                 "grid": {"M": 2}}, "grid.json")
+    out = tmp_path / "contour"
+    assert run(["contour", "--config", grid, "--solution", str(sol), "--out", str(out),
+                "--threads", "0"]) == 1
+    assert "--threads" in capsys.readouterr().err
+    assert not (out / "contour.csv").exists()
 
 
 def test_threads_only_on_contour():

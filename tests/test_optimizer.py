@@ -282,6 +282,28 @@ def test_solution_store_round_trip(tmp_path):
     assert np.array_equal(reloaded.angles, results[0].params.angles)
 
 
+def test_solution_store_put_is_atomic(tmp_path, monkeypatch):
+    cfg = replace(QS, seed=51)
+    store = SolutionStore(tmp_path, kind=cfg.kind)
+    (result,) = cascade_optimize([2], cfg, FAST, store=store)
+    path = store.path_for(2)
+    before = path.read_bytes()
+    assert before == json.dumps(result.to_dict(), indent=1, sort_keys=True).encode()
+
+    def crash_midway(self, text, *args, **kwargs):
+        with open(self, "w") as fh:
+            fh.write(text[: len(text) // 2])
+        raise OSError("disk full")
+
+    moved = replace(result, params=SequenceParams(2, result.params.angles + 1.0))
+    monkeypatch.setattr(type(path), "write_text", crash_midway)
+    with pytest.raises(OSError):
+        store.put(moved)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 def test_one_over_f_objective_gradient():
     cfg = NoiseConfig(
         kind=ONE_OVER_F, sigma_nonlocal=0.2, sigma_local=0.006, seed=61

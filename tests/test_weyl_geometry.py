@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from entseq.gate_algebra import random_local, random_unitary
+from entseq.gate_algebra import local_rotation, random_local, random_unitary
 from entseq.weyl_geometry import (
     CartanDecompositionError,
     canonical_gate,
     cartan_decompose,
     cubic_roots,
     makhlin_invariants,
+    makhlin_invariants_many,
     pe_distance_d,
     pe_fidelity,
     pe_fidelity_many,
@@ -97,6 +98,48 @@ def test_local_invariance():
         assert np.allclose(weyl_coordinates(dressed), weyl_coordinates(U), atol=1e-8)
 
 
+def _reference_D(U):
+    """D with the side picked by the cubic-root selector s."""
+    g = makhlin_invariants_many(U)
+    d = pe_distance_d(g)
+    s = w1_indicator_s(g)
+    return np.where((d > 0) & (s > 0), d, np.where((d < 0) & (s < 0), -d, 0.0))
+
+
+def _dressed(c, rng):
+    """Canonical gates A(c) between random local rotations."""
+    A = np.stack([canonical_gate(*ci) for ci in c])
+    k1, k2 = local_rotation(rng.uniform(-np.pi, np.pi, size=(2, len(c), 6)))
+    return k1 @ A @ k2
+
+
+def _near_face_gates(rng, n=5000):
+    """Gates at log-uniform distances from the three faces of the PE
+    polyhedron (both sides) and from I and SWAP, keyed by set name."""
+    half_pi = 0.5 * np.pi
+    u, v = rng.uniform(size=(2, n))
+    a = half_pi * (0.5 + 0.5 * u)      # in [pi/4, pi/2]
+    b = half_pi - a                     # in [0, pi/4]
+    # points on each face inside the Weyl chamber, and the face normal
+    faces = {
+        "c1+c2": ((a, b, b * v), (1.0, 1.0, 0.0)),
+        "c1-c2": ((half_pi + b, b, b * v), (1.0, -1.0, 0.0)),
+        "c2+c3": ((a + (np.pi - 2 * a) * v, a, b), (0.0, 1.0, 1.0)),
+    }
+    sets = {}
+    for name, (on_face, normal) in faces.items():
+        on_face = np.stack(on_face, axis=-1)
+        normal = np.asarray(normal) / np.linalg.norm(normal)
+        for side in (1.0, -1.0):
+            delta = 10.0 ** rng.uniform(-12, -3, size=(n, 1))
+            sets[f"{name} {side:+.0f}"] = _dressed(on_face + side * delta * normal, rng)
+    for name, corner in (("I", np.zeros(3)), ("SWAP", np.full(3, half_pi))):
+        step = rng.normal(size=(n, 3))
+        step *= 10.0 ** rng.uniform(-10, -1, size=(n, 1)) / np.linalg.norm(step, axis=1, keepdims=True)
+        sets[name] = _dressed(corner + step, rng)
+    return sets
+
+
 def test_pe_consistency_random_gates():
     # two-way implication: each indicator is an exact constant inside the
     # polyhedron, so the other side must match within tolerance there
@@ -105,8 +148,18 @@ def test_pe_consistency_random_gates():
     D = pe_functional_many(U)
     F = pe_fidelity_many(U)
     assert D.min() >= 0.0
+    assert np.array_equal(D, _reference_D(U))
     assert np.all(F[D == 0.0] >= 1.0 - 1e-9)
     assert np.all(D[F == 1.0] <= 1e-9)
+
+
+def test_pe_functional_near_faces_matches_cubic_root_selector():
+    # where the optimizer ends up, the closed-form side test and the
+    # cubic-root selector may differ at rounding level only
+    for name, U in _near_face_gates(np.random.default_rng(12)).items():
+        D = pe_functional_many(U)
+        assert D.min() >= 0.0, name
+        assert np.abs(D - _reference_D(U)).max() <= 1e-10, name
 
 
 def test_pe_functional_monotone_to_cnot():
