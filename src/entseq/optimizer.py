@@ -1,4 +1,4 @@
-"""Ensemble-averaged objective, numerical gradient, bounded quasi-Newton
+"""Ensemble-averaged objective, its exact gradient, bounded quasi-Newton
 minimization, and the divisor-cascade initialization across sequence lengths.
 
 The objective for a frozen noise ensemble is
@@ -13,10 +13,11 @@ function; it is resampled between lengths.
 Every value is computed from one evaluation of the sequence kernel
 ``sequence_engine.ensemble_gates``, which gives the noisy gates U_m and the
 noise-free target O; J and the reported metrics are pure functions of
-(U, O).  Minimization uses SciPy's L-BFGS-B with a forward-difference gradient
-(computed here, on the same frozen ensemble, with prefix/suffix products of
-the kernel's segment operators so one gradient costs O(N) instead of O(N^2)
-chain rebuilds).
+(U, O).  Minimization uses SciPy's L-BFGS-B with the exact gradient of J,
+computed here by one reverse pass: the cotangents of J with respect to U and
+O are propagated through prefix/suffix products of the kernel's segment
+operators and contracted with the closed-form derivatives of the Euler
+rotations, so a gradient costs a few evaluations of J, whatever N.
 The termination conditions map one-to-one onto L-BFGS-B's ``ftol``
 (relative J decrease with the max{|J_k|, |J_k+1|, 1} denominator) and
 ``pgtol`` (projected-gradient max-norm).
@@ -48,11 +49,11 @@ from .sequence_engine import (
     ensemble_slices,
     gate_error,
     segment_operators,
-    target_gate,
+    target_segment_operators,
     zz_phase_slice,
 )
-from .gate_algebra import local_rotation
-from .weyl_geometry import pe_functional_many
+from .gate_algebra import local_rotation_grad
+from .weyl_geometry import pe_functional_grad, pe_functional_many
 
 TERM_TOL_J = "tol_J"
 TERM_TOL_GRADJ = "tol_gradJ"
@@ -77,7 +78,6 @@ class OptimizerConfig:
     tol_J: float = 2.2e-6
     tol_gradJ: float = 2.2e-6
     max_iterations: int = 15000
-    fd_step: float = 1e-7
     history_size: int = 10
     bounds: tuple | None = None       # optional (lo, hi) box per angle
     polish_rounds: int = 6
@@ -85,8 +85,8 @@ class OptimizerConfig:
     kick_scales: tuple = (0.02, 0.05, 0.15)
 
     def __post_init__(self):
-        if not all(_finite_positive(v) for v in (self.tol_J, self.tol_gradJ, self.fd_step)):
-            raise ValueError("tol_J, tol_gradJ and fd_step must be finite and positive")
+        if not (_finite_positive(self.tol_J) and _finite_positive(self.tol_gradJ)):
+            raise ValueError("tol_J and tol_gradJ must be finite and positive")
         if min(self.ensemble_size, self.history_size, self.max_iterations,
                self.polish_rounds) < 1:
             raise ValueError(
@@ -107,7 +107,6 @@ class OptimizerConfig:
             "tol_J": self.tol_J,
             "tol_gradJ": self.tol_gradJ,
             "max_iterations": self.max_iterations,
-            "fd_step": self.fd_step,
             "history_size": self.history_size,
             "bounds": list(self.bounds) if self.bounds is not None else None,
             "polish_rounds": self.polish_rounds,
@@ -119,6 +118,8 @@ class OptimizerConfig:
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
+        # configs written before the gradient was exact carry a step size
+        d.pop("fd_step", None)
         if d.get("bounds") is not None:
             d["bounds"] = tuple(d["bounds"])
         if "kick_scales" in d:
@@ -162,14 +163,52 @@ def objective_value(U, O, d_weight=1.0):
     return float(np.mean(gate_error(U, O) + d_weight * pe_functional_many(U)))
 
 
-class SequenceObjective:
-    """J and its forward-difference gradient on a frozen noise ensemble."""
+def objective_cotangents(U, O, d_weight=1.0):
+    """Cotangents ``(G_U, G_O)`` of :func:`objective_value`:
+    ``dJ = sum_m Re tr(G_U[m] dU_m) + Re tr(G_O dO)``.
 
-    def __init__(self, N, ensemble, fd_step=1e-7):
+    With ``t_m = tr(O^dag U_m)``, ``eps_m = 1 - |t_m|^2 / 16`` contributes
+    ``-(conj(t_m) / 8) O^dag`` to U_m's cotangent and ``-(t_m / 8) U_m^dag``
+    to O's; D contributes through :func:`pe_functional_grad`.
+    """
+    M = len(U)
+    t = np.einsum("ji,mji->m", O.conj(), U)
+    G_U = (-np.conj(t) / (8.0 * M))[:, None, None] * O.conj().T
+    G_U += (d_weight / M) * pe_functional_grad(U)
+    G_O = np.einsum("m,mji->ij", -t / (8.0 * M), U.conj())
+    return G_U, G_O
+
+
+def _partial_products(T):
+    """Prefix and suffix products of segment operators ``T`` ``(..., N, 4, 4)``:
+    ``prefix[k] = T_(N-1) ... T_(k+1)`` and ``suffix[k] = T_(k-1) ... T_0``,
+    each ``(N, ..., 4, 4)``, and the full product in ``chain_product``'s
+    order (so bit-identical to it)."""
+    N = T.shape[-3]
+    eye = np.broadcast_to(np.eye(4, dtype=complex), T.shape[:-3] + (4, 4))
+    prefix = np.empty((N,) + eye.shape, dtype=complex)
+    suffix = np.empty_like(prefix)
+    acc = eye
+    for k in range(N - 1, -1, -1):
+        prefix[k] = acc
+        acc = acc @ T[..., k, :, :]
+    full = acc
+    acc = eye
+    for k in range(N):
+        suffix[k] = acc
+        acc = T[..., k, :, :] @ acc
+    return prefix, suffix, full
+
+
+class SequenceObjective:
+    """J and its exact gradient on a frozen noise ensemble."""
+
+    def __init__(self, N, ensemble):
         self.N = N
-        self.M = len(ensemble)
-        self.fd_step = fd_step
         self.slices, self.delta_eta = ensemble_slices(ensemble)
+        # Z_N D_mk, segment-major to line up with the partial products
+        self._ZD = np.ascontiguousarray(
+            np.swapaxes(zz_phase_slice(N) @ self.slices, 0, 1))
 
     def gates(self, x):
         """(U, O) at x: the kernel on this objective's ensemble."""
@@ -186,45 +225,31 @@ class SequenceObjective:
         return ensemble_metrics(*self.gates(x))
 
     def value_and_grad(self, x, d_weight=1.0):
-        """Forward differences on the frozen ensemble; the target gate is
-        displaced together with the evolution (it shares the angles)."""
+        """J at x (bit-identical to :meth:`value`) and its exact gradient by
+        one reverse pass.
+
+        ``U_m = P_k Z D_mk R(p_mk) S_k`` with ``P``/``S`` the prefix/suffix
+        products and ``p_mk = x_k (1 + delta_eta_mk)``, and the target O is
+        the same chain without noise, so with the cotangents of
+        :func:`objective_cotangents`
+        ``dJ/dx_ks = sum_m Re tr(S_k G_m P_k Z D_mk dR_s(p_mk)) (1 + delta_eta_mks)
+        + Re tr(S^O_k G_O P^O_k Z dR_s(x_k))``.
+        """
         x = np.asarray(x, dtype=float)
-        N, M, h = self.N, self.M, self.fd_step
-        O = target_gate(SequenceParams(N, x))
+        N = self.N
         one_plus_de = 1.0 + self.delta_eta
         perturbed = x.reshape(1, N, 6) * one_plus_de
-        T = segment_operators(perturbed, self.slices)
-        Z = zz_phase_slice(N)
+        prefix, suffix, U = _partial_products(segment_operators(perturbed, self.slices))
+        prefix_O, suffix_O, O = _partial_products(
+            target_segment_operators(SequenceParams(N, x)))
+        J = objective_value(U, O, d_weight)
 
-        # prefix[k] = T_(N-1) ... T_(k+1), suffix[k] = T_(k-1) ... T_0
-        eye = np.broadcast_to(np.eye(4, dtype=complex), (M, 4, 4))
-        prefix = np.empty((N, M, 4, 4), dtype=complex)
-        acc = eye.copy()
-        for k in range(N - 1, -1, -1):
-            prefix[k] = acc
-            acc = acc @ T[:, k]
-        U = acc
-        suffix = np.empty((N, M, 4, 4), dtype=complex)
-        acc = eye.copy()
-        for k in range(N):
-            suffix[k] = acc
-            acc = T[:, k] @ acc
-
-        J0 = objective_value(U, O, d_weight)
-        grad = np.empty(6 * N)
-        for k in range(N):
-            seg = perturbed[:, k]
-            for s in range(6):
-                i = 6 * k + s
-                xd = x.copy()
-                xd[i] += h
-                seg_d = seg.copy()
-                seg_d[:, s] = xd[i] * one_plus_de[:, k, s]
-                Td = Z @ (self.slices[:, k] @ local_rotation(seg_d))
-                Ud = prefix[k] @ Td @ suffix[k]
-                Jd = objective_value(Ud, target_gate(SequenceParams(N, xd)), d_weight)
-                grad[i] = (Jd - J0) / h
-        return J0, grad
+        G_U, G_O = objective_cotangents(U, O, d_weight)
+        W = np.swapaxes(suffix @ G_U @ prefix @ self._ZD, 0, 1)
+        W_O = suffix_O @ G_O @ prefix_O @ zz_phase_slice(N)
+        grad = (local_rotation_grad(perturbed, W) * one_plus_de).sum(axis=0)
+        grad += local_rotation_grad(x.reshape(N, 6), W_O)
+        return J, grad.ravel()
 
 
 def relative_decrease(J_prev, J_next):
@@ -256,8 +281,9 @@ class Descent:
     message: str
 
 
-def _lbfgs(obj, x0, config, d_weight=1.0):
-    """One L-BFGS-B descent; returns (Descent, accepted-J history)."""
+def _lbfgs(obj, x0, config, d_weight=1.0, J0=None):
+    """One L-BFGS-B descent; returns (Descent, accepted-J history).  ``J0``
+    is J at x0 when the caller already has it."""
     evals = {}
 
     def fun(x):
@@ -269,7 +295,7 @@ def _lbfgs(obj, x0, config, d_weight=1.0):
         J = evals.get(x.tobytes())
         return obj.value(x, d_weight) if J is None else J
 
-    history = [obj.value(np.asarray(x0, dtype=float), d_weight)]
+    history = [obj.value(np.asarray(x0, dtype=float), d_weight) if J0 is None else J0]
 
     bounds = None
     if config.bounds is not None:
@@ -302,7 +328,8 @@ def _polish(obj, x0, config, d_weight=1.0):
     history = []
     nit = 0
     for _ in range(config.polish_rounds):
-        res, hist = _lbfgs(obj, x, config, d_weight)
+        # later rounds start where the previous one ended, at a known J
+        res, hist = _lbfgs(obj, x, config, d_weight, None if best is None else best.J)
         history.extend(hist)
         nit += res.nit
         if best is not None and relative_decrease(best.J, res.J) <= config.tol_J:
@@ -465,7 +492,7 @@ def cascade_optimize(N_list, noise_config, optimizer_config, store=None,
             ensemble = noise_model.make_ensemble(
                 noise_config, N, optimizer_config.ensemble_size, seed=ensemble_seed
             )
-            obj = SequenceObjective(N, ensemble, fd_step=optimizer_config.fd_step)
+            obj = SequenceObjective(N, ensemble)
             guess = initialize_guess(N, store)
             inits = [guess.angles]
             if np.any(guess.angles):

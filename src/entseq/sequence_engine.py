@@ -90,11 +90,14 @@ def chain_product(mats):
     return out
 
 
+def target_segment_operators(params):
+    """Noise-free segment operators ``Z_N R_n``, shape ``(N, 4, 4)``."""
+    return zz_phase_slice(params.N) @ local_rotation(params.angles.reshape(params.N, 6))
+
+
 def target_gate(params):
     """Noise-free target: product of slice * rotation over all segments."""
-    Z = zz_phase_slice(params.N)
-    R = local_rotation(params.angles.reshape(params.N, 6))
-    return chain_product(Z @ R)
+    return chain_product(target_segment_operators(params))
 
 
 def noise_slice_operators(realization, N=None):

@@ -39,20 +39,30 @@ def to_su4(U):
 
 
 def _magic_gram(U):
-    """m = U_B^T U_B with U_B the SU(4)-normalized gate in the magic basis."""
-    Us = to_su4(U)
-    UB = np.einsum("ab,...bc,cd->...ad", _MAGIC_DAG, Us, MAGIC)
-    return np.swapaxes(UB, -1, -2) @ UB
+    """The SU(4)-normalized gate in the magic basis and its Gram matrix.
+
+    Returns ``(V, m, c)``: ``c = det(U)^(1/4)`` (principal root, shape
+    ``(..., 1, 1)``), ``V = MAGIC^dag (U / c) MAGIC`` and ``m = V^T V``.
+    """
+    U = np.asarray(U, dtype=complex)
+    c = np.asarray(np.linalg.det(U))[..., None, None] ** 0.25
+    V = _MAGIC_DAG @ (U / c) @ MAGIC
+    return V, np.swapaxes(V, -1, -2) @ V, c
+
+
+def _gram_invariants(m):
+    """(g1, g2, g3) of a magic-basis Gram matrix, with ``tr m`` and ``tr m^2``."""
+    tr = np.einsum("...ii->...", m)
+    tr_m2 = np.einsum("...ij,...ji->...", m, m)
+    tr2 = tr * tr
+    g12 = tr2 / 16.0
+    g3 = (tr2 - tr_m2) / 4.0
+    return (g12.real, g12.imag, g3.real), tr, tr_m2
 
 
 def makhlin_invariants_many(U):
     """(g1, g2, g3) arrays for a batch of unitaries, shape ``(..., 4, 4)``."""
-    m = _magic_gram(U)
-    tr = np.einsum("...ii->...", m)
-    tr2 = tr * tr
-    g12 = tr2 / 16.0
-    g3 = (tr2 - np.einsum("...ij,...ji->...", m, m)) / 4.0
-    return g12.real, g12.imag, g3.real
+    return _gram_invariants(_magic_gram(U)[1])[0]
 
 
 def makhlin_invariants(U):
@@ -72,8 +82,7 @@ def weyl_coordinates_many(U):
     (sum of eigenphases = 0 mod 2*pi) intact, so degenerate eigenvalues are
     harmless: only the sorted phase multiset enters.
     """
-    m = _magic_gram(U)
-    ev = np.linalg.eigvals(m)
+    ev = np.linalg.eigvals(_magic_gram(U)[1])
     # A(c) has magic-basis Gram eigenphases -(c1-c2+c3), -(-c1+c2+c3),
     # (c1+c2+c3), -(c1+c2-c3): recover c from the negated half-phases.
     two_s = -np.angle(ev) / np.pi
@@ -179,6 +188,14 @@ def w1_indicator_s(g):
     return np.pi - np.arccos(z[..., 0]) - np.arccos(z[..., 2])
 
 
+def _pe_side(g):
+    """``d`` and the side test of :func:`pe_functional_many`: True where
+    ``D = |d|``, False where D = 0."""
+    g1, g2, g3 = g
+    d = pe_distance_d(g)
+    return d, (g3 * g3 + 4.0 * np.hypot(g1, g2) > 1.0) & (g3 * d > 0)
+
+
 def pe_functional_many(U):
     """Perfect-entangler distance functional, batched; >= 0, zero iff PE.
 
@@ -193,9 +210,42 @@ def pe_functional_many(U):
     rule all three share a sign exactly when ``g3^2 + 4r > 1`` and
     ``g3 d > 0``.
     """
-    g1, g2, g3 = makhlin_invariants_many(U)
-    d = pe_distance_d((g1, g2, g3))
-    return np.where((g3 * g3 + 4.0 * np.hypot(g1, g2) > 1.0) & (g3 * d > 0), np.abs(d), 0.0)
+    d, outside = _pe_side(makhlin_invariants_many(U))
+    return np.where(outside, np.abs(d), 0.0)
+
+
+def pe_functional_grad(U):
+    """Cotangent of :func:`pe_functional_many`, batched: ``G`` ``(..., 4, 4)``
+    with ``dD = Re tr(G dU)`` for unitary ``U``; zero where D is.
+
+    With ``m`` the magic-basis Gram matrix of the normalized gate (so
+    ``det = 1``), ``a = tr(m)^2`` and ``b = tr(m^2)``: ``g1 + i g2 = a/16``,
+    ``g3 = Re(a - b)/4`` and ``r = |a|/16``.  Their differentials are
+    ``da = tr(A dU)`` and ``db = tr(B dU)`` with
+    ``A = (4 tr m / c) MAGIC V^T MAGIC^dag - a U^dag`` and
+    ``B = (4 / c) MAGIC m V^T MAGIC^dag - b U^dag`` (``V``, ``c`` as in
+    ``_magic_gram``), and ``dd = Re[alpha da - beta db]`` with
+    ``alpha = r/4 + g3 conj(g1 + i g2)/(16 r) - 1/16`` and ``beta = r/4``.
+    ``D = |d|`` where the same side test as in :func:`pe_functional_many`
+    holds, so ``G = sign(d) (alpha A - beta B)`` there.  r > 0 wherever it
+    holds: r = 0 means g1 = g2 = 0, so d = 0.
+    """
+    V, m, c = _magic_gram(U)
+    g, tr, tr_m2 = _gram_invariants(m)
+    d, outside = _pe_side(g)
+    if not outside.any():
+        return np.zeros(np.shape(U), dtype=complex)
+    g1, g2, g3 = g
+    r = np.hypot(g1, g2)
+    alpha = r / 4.0 + g3 * (g1 - 1j * g2) / (16.0 * np.where(outside, r, 1.0)) - 1.0 / 16.0
+    beta = r / 4.0
+    sign = np.where(outside, np.sign(d), 0.0)
+    # alpha A - beta B = (4/c) MAGIC (alpha tr(m) - beta m) V^T MAGIC^dag
+    #                    - (alpha a - beta b) U^dag
+    core = (alpha * tr)[..., None, None] * np.eye(4) - beta[..., None, None] * m
+    G = (4.0 / c) * (MAGIC @ core @ np.swapaxes(V, -1, -2) @ _MAGIC_DAG)
+    G -= (alpha * tr * tr - beta * tr_m2)[..., None, None] * np.conj(np.swapaxes(U, -1, -2))
+    return sign[..., None, None] * G
 
 
 def pe_functional_D(U):

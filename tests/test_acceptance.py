@@ -340,11 +340,11 @@ def test_criterion_09_gradient_self_consistency(qs_calibration, qs_cascade,
                                                 onef_cascade):
     rng = np.random.default_rng(ROOT_SEED + 9)
     ensemble = make_ensemble(qs_calibration, 4, 50, seed=ROOT_SEED + 90)
-    obj = SequenceObjective(4, ensemble, fd_step=1e-7)
+    obj = SequenceObjective(4, ensemble)
     worst_rel = 0.0
     for _ in range(10):
         x = rng.uniform(-2.0, 2.0, 24)
-        g_fwd = obj.value_and_grad(x)[1]
+        g = obj.value_and_grad(x)[1]
         g_cen = np.empty(24)
         for i in range(24):
             xp = x.copy()
@@ -353,20 +353,20 @@ def test_criterion_09_gradient_self_consistency(qs_calibration, qs_cascade,
             xm[i] -= 1e-6
             g_cen[i] = (obj.value(xp) - obj.value(xm)) / 2e-6
         scale = max(np.abs(g_cen).max(), 1e-12)
-        worst_rel = max(worst_rel, np.abs(g_fwd - g_cen).max() / scale)
+        worst_rel = max(worst_rel, np.abs(g - g_cen).max() / scale)
     reasons = {
         r.termination_reason
         for r in list(qs_cascade.values()) + list(onef_cascade.values())
     }
     terms_ok = reasons <= {TERM_TOL_J, TERM_TOL_GRADJ}
-    ok = worst_rel <= 1e-3 and terms_ok
+    ok = worst_rel <= 1e-6 and terms_ok
     line(
         9,
         ok,
-        f"forward-vs-central worst rel dev {worst_rel:.2e} (<= 1e-3); "
+        f"analytic-vs-central worst rel dev {worst_rel:.2e} (<= 1e-6); "
         f"termination reasons {sorted(reasons)}",
     )
-    assert worst_rel <= 1e-3
+    assert worst_rel <= 1e-6
     assert terms_ok
 
 

@@ -8,6 +8,7 @@ from entseq.gate_algebra import (
     expm_hermitian,
     is_unitary,
     local_rotation,
+    local_rotation_grad,
     pauli_product,
     random_local,
     random_unitary,
@@ -128,3 +129,18 @@ def test_random_local_is_su2_tensor():
     k = random_local(rng)
     assert is_unitary(k)
     assert np.linalg.det(k) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_local_rotation_grad_matches_central_differences():
+    rng = np.random.default_rng(12)
+    angles = rng.uniform(-4 * np.pi, 4 * np.pi, (3, 5, 6))
+    W = rng.normal(size=(3, 5, 4, 4)) + 1j * rng.normal(size=(3, 5, 4, 4))
+    g = local_rotation_grad(angles, W)
+    assert g.shape == (3, 5, 6)
+    h = 1e-6
+    for s in range(6):
+        step = np.zeros(6)
+        step[s] = h
+        dR = (local_rotation(angles + step) - local_rotation(angles - step)) / (2 * h)
+        fd = np.einsum("...ij,...ji->...", W, dR).real
+        assert np.allclose(g[..., s], fd, rtol=1e-7, atol=1e-8)

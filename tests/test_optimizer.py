@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
 import scipy.optimize
 
+from entseq import optimizer
 from entseq.noise_model import NoiseConfig, ONE_OVER_F, make_ensemble
 from entseq.optimizer import (
     OptimizerConfig,
@@ -25,6 +28,7 @@ from entseq.sequence_engine import SequenceParams, gate_error
 from entseq.weyl_geometry import pe_functional_many
 
 QS = NoiseConfig(seed=11)
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 FAST = OptimizerConfig(ensemble_size=20, polish_rounds=2, n_kicks=2)
 
 
@@ -68,35 +72,44 @@ def test_objective_bit_identical_on_frozen_ensemble():
     assert a == b
 
 
+def central_gradient(obj, x, d_weight=1.0, h=1e-6):
+    g = np.empty(x.size)
+    for i in range(x.size):
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += h
+        xm[i] -= h
+        g[i] = (obj.value(xp, d_weight) - obj.value(xm, d_weight)) / (2 * h)
+    return g
+
+
 def test_gradient_matches_naive_fd():
-    ensemble = make_ensemble(QS, 2, 6)
-    x = np.random.default_rng(3).uniform(-1, 1, 12)
-    obj = SequenceObjective(2, ensemble, fd_step=1e-7)
-    g_fast = obj.value_and_grad(x)[1]
-    J0 = obj.value(x)
-    g_naive = np.empty(12)
-    for i in range(12):
-        xd = x.copy()
-        xd[i] += 1e-7
-        g_naive[i] = (obj.value(xd) - J0) / 1e-7
-    assert np.allclose(g_fast, g_naive, atol=1e-8)
+    # the second input has local noise, N = 4 and the PE weight of the last
+    # repair round, with D nonzero on some members
+    cases = [(QS, 2, 6, 3, 1.0, 1.0), (replace(QS, sigma_local=0.01), 4, 12, 9, 2.0, 16.0)]
+    for cfg, N, M, seed, span, d_weight in cases:
+        obj = SequenceObjective(N, make_ensemble(cfg, N, M))
+        x = np.random.default_rng(seed).uniform(-span, span, 6 * N)
+        J, g = obj.value_and_grad(x, d_weight)
+        assert J == obj.value(x, d_weight)
+        assert np.allclose(g, central_gradient(obj, x, d_weight), rtol=1e-6, atol=1e-9)
+    D = pe_functional_many(obj.gates(x)[0])
+    assert 0 < np.count_nonzero(D) < D.size
 
 
 def test_gradient_forward_vs_central():
+    # D is nonzero on 1 of the 10 members here, so both sides of its kink
+    # enter the gradient
     ensemble = make_ensemble(QS, 2, 10)
     rng = np.random.default_rng(4)
     x = rng.uniform(-2, 2, 12)
-    obj = SequenceObjective(2, ensemble, fd_step=1e-7)
-    g_fwd = obj.value_and_grad(x)[1]
-    g_cen = np.empty(12)
-    for i in range(12):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += 1e-6
-        xm[i] -= 1e-6
-        g_cen[i] = (obj.value(xp) - obj.value(xm)) / 2e-6
+    obj = SequenceObjective(2, ensemble)
+    D = pe_functional_many(obj.gates(x)[0])
+    assert 0 < np.count_nonzero(D) < D.size
+    g = obj.value_and_grad(x)[1]
+    g_cen = central_gradient(obj, x)
     scale = max(np.abs(g_cen).max(), 1e-12)
-    assert np.abs(g_fwd - g_cen).max() / scale < 1e-3
+    assert np.abs(g - g_cen).max() / scale < 1e-6
 
 
 def test_gradient_synthetic_quadratic():
@@ -114,8 +127,8 @@ def test_gradient_synthetic_quadratic():
 @pytest.mark.parametrize("bad", [
     {"tol_J": float("nan")},
     {"tol_gradJ": 0.0},
-    {"fd_step": -1.0},
-    {"fd_step": float("inf")},
+    {"tol_J": float("inf")},
+    {"ensemble_size": 0},
     {"history_size": 0},
     {"max_iterations": 0},
     {"polish_rounds": 0},
@@ -130,6 +143,19 @@ def test_config_validation(bad):
     with pytest.raises(ValueError):
         OptimizerConfig(**bad)
     OptimizerConfig(n_kicks=0, bounds=(-1.0, 1.0))  # edge values that are fine
+
+
+def test_config_from_dict_drops_legacy_fd_step():
+    # configs and solution files written with the forward-difference
+    # gradient carry its step size
+    d = OptimizerConfig(n_kicks=3).to_dict()
+    assert "fd_step" not in d
+    assert OptimizerConfig.from_dict({**d, "fd_step": 1e-7}) == OptimizerConfig(n_kicks=3)
+    for name in ("qs_cascade.json", "onef_cascade.json"):
+        doc = json.loads((BENCH_INPUTS / name).read_text())
+        assert "fd_step" in doc["optimizer"]
+        assert OptimizerConfig.from_dict(doc["optimizer"]).to_dict() == {
+            k: v for k, v in doc["optimizer"].items() if k != "fd_step"}
 
 
 def test_relative_decrease_formula():
@@ -160,7 +186,7 @@ def test_minimize_noise_free_reaches_perfect_entangler():
     # identity init sits on a symmetry point of the noise-free landscape;
     # a deterministic offset is enough for the descent test
     x0 = np.full(12, 0.3)
-    obj = SequenceObjective(2, ensemble, fd_step=config.fd_step)
+    obj = SequenceObjective(2, ensemble)
     res, history = _lbfgs(obj, x0, config)
     assert res.J <= obj.value(x0)
     assert history[0] >= history[-1]
@@ -174,7 +200,7 @@ def test_minimize_noise_free_reaches_perfect_entangler():
 def test_minimize_history_matches_objective():
     ensemble = make_ensemble(QS, 2, 10)
     config = OptimizerConfig(ensemble_size=10, max_iterations=5)
-    obj = SequenceObjective(2, ensemble, fd_step=config.fd_step)
+    obj = SequenceObjective(2, ensemble)
     res, history = _lbfgs(obj, np.full(12, 0.2), config)
     assert history[0] == pytest.approx(
         SequenceObjective(2, ensemble).value(np.full(12, 0.2))
@@ -185,18 +211,27 @@ def test_minimize_history_matches_objective():
 def test_minimize_respects_bounds():
     ensemble = make_ensemble(QS, 2, 5)
     config = OptimizerConfig(ensemble_size=5, bounds=(-0.5, 0.5), max_iterations=50)
-    obj = SequenceObjective(2, ensemble, fd_step=config.fd_step)
+    obj = SequenceObjective(2, ensemble)
     res, _ = _lbfgs(obj, np.zeros(12), config)
     assert np.all(res.x >= -0.5 - 1e-12)
     assert np.all(res.x <= 0.5 + 1e-12)
 
 
+class BiasedGradient(SequenceObjective):
+    """The objective with a small fixed error in its gradient, which makes
+    the line search fail near a minimum."""
+
+    def value_and_grad(self, x, d_weight=1.0):
+        J, g = super().value_and_grad(x, d_weight)
+        return J, g + 1e-2
+
+
 def test_lbfgs_J_is_value_at_returned_x():
-    # restarting from a converged point ends in a line-search failure, after
-    # which SciPy's res.fun is the J of the last trial point, not of res.x
+    # after a line-search failure SciPy's res.fun is the J of the last trial
+    # point, not of res.x
     ensemble = make_ensemble(QS.with_seed(0), 2, 10)
     config = OptimizerConfig(ensemble_size=10)
-    obj = SequenceObjective(2, ensemble, fd_step=config.fd_step)
+    obj = BiasedGradient(2, ensemble)
     x = np.random.default_rng(0).uniform(-2, 2, 12)
     reasons = []
     for _ in range(4):
@@ -205,6 +240,33 @@ def test_lbfgs_J_is_value_at_returned_x():
         reasons.append(classify_termination(res.message, res.nit, config.max_iterations))
         x = res.x
     assert TERM_LINE_SEARCH in reasons
+
+
+def test_polish_reuses_known_start_values(monkeypatch):
+    ensemble = make_ensemble(QS, 2, 10)
+    config = OptimizerConfig(ensemble_size=10, polish_rounds=4)
+    obj = SequenceObjective(2, ensemble)
+    x0 = np.random.default_rng(6).uniform(-2, 2, 12)
+    starts = []
+    evaluated = []
+    value, lbfgs = obj.value, optimizer._lbfgs
+
+    def counted_value(x, d_weight=1.0):
+        evaluated.append(x.copy())
+        return value(x, d_weight)
+
+    def recorded_lbfgs(obj, x, config, d_weight=1.0, J0=None):
+        res, hist = lbfgs(obj, x, config, d_weight, J0)
+        starts.append((value(x, d_weight), hist[0]))
+        return res, hist
+
+    monkeypatch.setattr(obj, "value", counted_value)
+    monkeypatch.setattr(optimizer, "_lbfgs", recorded_lbfgs)
+    optimizer._polish(obj, x0, config)
+    assert len(starts) > 1
+    assert all(J == first for J, first in starts)
+    # only the first round's start is evaluated by value()
+    assert len(evaluated) == 1 and np.array_equal(evaluated[0], x0)
 
 
 def test_initialize_guess_tiling_rules():
@@ -310,12 +372,7 @@ def test_one_over_f_objective_gradient():
     )
     ensemble = make_ensemble(cfg, 2, 5)
     x = np.random.default_rng(7).uniform(-1, 1, 12)
-    obj = SequenceObjective(2, ensemble, fd_step=1e-7)
-    g = obj.value_and_grad(x)[1]
-    J0 = obj.value(x)
-    g_naive = np.empty(12)
-    for i in range(12):
-        xd = x.copy()
-        xd[i] += 1e-7
-        g_naive[i] = (obj.value(xd) - J0) / 1e-7
-    assert np.allclose(g, g_naive, atol=1e-8)
+    obj = SequenceObjective(2, ensemble)
+    J, g = obj.value_and_grad(x)
+    assert J == obj.value(x)
+    assert np.allclose(g, central_gradient(obj, x), rtol=1e-6, atol=1e-9)

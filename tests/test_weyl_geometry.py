@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from entseq.gate_algebra import local_rotation, random_local, random_unitary
+from entseq.gate_algebra import (
+    expm_hermitian,
+    local_rotation,
+    random_local,
+    random_unitary,
+)
 from entseq.weyl_geometry import (
     CartanDecompositionError,
     canonical_gate,
@@ -13,6 +18,7 @@ from entseq.weyl_geometry import (
     pe_fidelity,
     pe_fidelity_many,
     pe_functional_D,
+    pe_functional_grad,
     pe_functional_many,
     w1_indicator_s,
     weyl_coordinates,
@@ -244,3 +250,22 @@ def test_batched_weyl_matches_scalar():
     many = weyl_coordinates_many(U)
     for i in range(32):
         assert np.allclose(many[i], weyl_coordinates(U[i]), atol=1e-12)
+
+
+def test_pe_functional_grad_matches_central_differences():
+    # Haar gates hit both sides of the PE test; the derivative of D along
+    # U -> exp(-i t H) U is Re tr(G (-i H U))
+    rng = np.random.default_rng(13)
+    U = np.stack([random_unitary(4, rng) for _ in range(300)])
+    D = pe_functional_many(U)
+    assert 0 < np.count_nonzero(D) < D.size
+    G = pe_functional_grad(U)
+    assert np.array_equal(np.abs(G).max(axis=(-2, -1)) > 0, D > 0)
+    h = 1e-6
+    for _ in range(3):
+        H = rng.normal(size=(300, 4, 4)) + 1j * rng.normal(size=(300, 4, 4))
+        H = H + np.conj(np.swapaxes(H, -1, -2))
+        fd = (pe_functional_many(expm_hermitian(H, h) @ U)
+              - pe_functional_many(expm_hermitian(H, -h) @ U)) / (2 * h)
+        exact = np.einsum("mij,mji->m", G, -1j * H @ U).real
+        assert np.allclose(exact, fd, rtol=1e-6, atol=1e-8)
