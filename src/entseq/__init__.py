@@ -27,7 +27,6 @@ from .noise_model import (
     calibrate_amplitude,
     estimate_local_fidelity,
     make_ensemble,
-    perturb_angles,
     rtn_value,
     sample_one_over_f,
     sample_quasistatic,
@@ -38,7 +37,6 @@ from .sequence_engine import (
     ensemble_gates,
     ensemble_metrics,
     evaluate_solution,
-    evolve,
     gate_error,
     target_gate,
     zz_phase_slice,

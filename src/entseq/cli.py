@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .noise_model import NoiseConfig, calibrate_amplitude, make_ensemble
+from .noise_model import NoiseConfig, calibrate_amplitude, is_int, make_ensemble
 from .optimizer import OptimizerConfig, SolutionStore, cascade_optimize, derived_seed
 from .sequence_engine import SequenceParams, evaluate_solution, target_gate, uncorrected_error
 from .weyl_geometry import (
@@ -66,10 +66,10 @@ def load_spec(path):
 def noise_from_spec(doc, seed_override=None):
     try:
         cfg = NoiseConfig.from_dict(doc.get("noise", {})) if doc.get("noise") else NoiseConfig()
+        if seed_override is not None:
+            cfg = cfg.with_seed(seed_override)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad noise config: {exc}") from exc
-    if seed_override is not None:
-        cfg = cfg.with_seed(seed_override)
     return cfg
 
 
@@ -102,6 +102,8 @@ def cmd_optimize(args):
     n_list = doc.get("N_list")
     if not n_list:
         raise ConfigError("optimize requires N_list in the experiment config")
+    if not (isinstance(n_list, list) and all(is_int(N) and N >= 1 for N in n_list)):
+        raise ConfigError(f"N_list must be a list of positive integers, got {n_list!r}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     store = SolutionStore(out, kind=noise.kind)
@@ -123,9 +125,24 @@ def cmd_optimize(args):
     return 0
 
 
-def _grid_axis(spec, default):
-    lo, hi, n = spec if spec is not None else default
-    return np.geomspace(lo, hi, int(n))
+def _count(doc, key, default):
+    v = doc.get(key, default)
+    if not (is_int(v) and v >= 1):
+        raise ConfigError(f"{key} must be an integer >= 1, got {v!r}")
+    return v
+
+
+def _grid_axis(grid, name, default):
+    spec = grid.get(name)
+    try:
+        lo, hi, n = spec if spec is not None else default
+        ok = 0 < lo <= hi < np.inf and is_int(n) and n >= 1
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ConfigError(
+            f"grid.{name} must be [lo, hi, count] with 0 < lo <= hi and count >= 1, got {spec!r}")
+    return np.geomspace(lo, hi, n)
 
 
 def cmd_contour(args):
@@ -135,9 +152,9 @@ def cmd_contour(args):
     noise = noise_from_spec(doc, args.seed)
     params, _ = load_solution(args.solution)
     grid = doc.get("grid", {})
-    sig_loc = _grid_axis(grid.get("sigma_local"), (1e-3, 0.1, 5))
-    sig_nl = _grid_axis(grid.get("sigma_nonlocal"), (1e-2, 0.4, 5))
-    M = int(grid.get("M", 100))
+    sig_loc = _grid_axis(grid, "sigma_local", (1e-3, 0.1, 5))
+    sig_nl = _grid_axis(grid, "sigma_nonlocal", (1e-2, 0.4, 5))
+    M = _count(grid, "M", 100)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -166,11 +183,9 @@ def cmd_evaluate(args):
     if args.config:
         doc = load_spec(args.config)
         noise = noise_from_spec(doc, args.seed)
-        M = int(doc.get("M", 100))
+        M = _count(doc, "M", 100)
     else:
-        noise = NoiseConfig.from_dict(sol_doc["config"]["noise"])
-        if args.seed is not None:
-            noise = noise.with_seed(args.seed)
+        noise = noise_from_spec(sol_doc["config"], args.seed)
         M = int(sol_doc["config"]["optimizer"]["ensemble_size"])
     seed = sol_doc["seeds"]["ensemble_seed"] if args.stored_seeds else noise.seed
     ensemble = make_ensemble(noise, params.N, M, seed=seed)
@@ -241,8 +256,8 @@ def cmd_calibrate(args):
     target = args.target if args.target is not None else float(doc.get("target_error", 0.1))
     if not 0 < target < 0.5:
         raise ConfigError("target error must lie in (0, 0.5)")
-    N = int(doc.get("N", 4))
-    M = int(doc.get("M", 200))
+    N = _count(doc, "N", 4)
+    M = _count(doc, "M", 200)
     try:
         sigma = calibrate_amplitude(target, noise, N, M)
     except RuntimeError as exc:

@@ -15,6 +15,7 @@ substream ``SeedSequence(entropy=seed, spawn_key=(m,))`` so results are
 independent of evaluation order and worker count.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -31,6 +32,11 @@ TWO_LOCAL_CHANNELS = tuple((i, j) for i in range(1, 4) for j in range(1, 4))
 ALL_CHANNELS = tuple((i, j) for i in range(4) for j in range(4) if (i, j) != (0, 0))
 
 SCHEMA_VERSION = 1
+
+
+def is_int(v):
+    """True for a Python or NumPy integer (bool excluded)."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass
@@ -59,11 +65,15 @@ class NoiseConfig:
             raise ValueError("alpha must be finite")
         if not 0 < self.nu_min < self.nu_max < math.inf:
             raise ValueError("need 0 < nu_min < nu_max, both finite")
-        if self.kind == ONE_OVER_F and self.n_fluctuators < 1:
-            raise ValueError("need at least one fluctuator")
+        if not (is_int(self.n_fluctuators) and self.n_fluctuators >= 1):
+            raise ValueError("n_fluctuators must be an integer >= 1")
+        if not (is_int(self.seed) and self.seed >= 0):
+            raise ValueError("seed must be an integer >= 0")
         self.channels = tuple((int(i), int(j)) for i, j in self.channels)
         if not self.channels or (0, 0) in self.channels:
             raise ValueError("channels must be nonempty and exclude (0, 0)")
+        if not all(0 <= i <= 3 and 0 <= j <= 3 for i, j in self.channels):
+            raise ValueError("channel indices must lie in 0..3")
 
     def to_dict(self):
         return {
@@ -185,10 +195,21 @@ def spectral_weight_exponent(config):
 
 
 def fluctuator_weights(config):
-    """Per-fluctuator amplitudes, normalized to unit total stationary variance."""
+    """Per-fluctuator amplitudes, normalized to unit total stationary variance
+    (read-only, shared by every config with the same spectral band)."""
+    return _band_weights(config.alpha, config.nu_min, config.nu_max, config.n_fluctuators)
+
+
+@functools.cache
+def _band_weights(alpha, nu_min, nu_max, n_fluctuators):
+    # the spectral fit depends on these four fields only
+    config = NoiseConfig(kind=ONE_OVER_F, alpha=alpha, nu_min=nu_min, nu_max=nu_max,
+                         n_fluctuators=n_fluctuators)
     rates = fluctuator_rates(config)
     w = rates ** (0.5 * spectral_weight_exponent(config))
-    return w / np.sqrt((w ** 2).sum())
+    w = w / np.sqrt((w ** 2).sum())
+    w.flags.writeable = False
+    return w
 
 
 def _bank_value(traces, weights, t):
@@ -249,15 +270,6 @@ def make_ensemble(config, N, M, seed=None):
     return [
         sample_realization(config, N, realization_rng(seed, m)) for m in range(M)
     ]
-
-
-def perturb_angles(angles, realization):
-    """Multiplicative angle noise ``eta -> eta * (1 + delta_eta)``."""
-    angles = np.asarray(angles, dtype=float)
-    N = realization.segment_count
-    if angles.size != 6 * N:
-        raise ValueError(f"angle vector length {angles.size} != 6*N = {6 * N}")
-    return (angles.reshape(N, 6) * (1.0 + realization.delta_eta)).reshape(angles.shape)
 
 
 def estimate_local_fidelity(sigma_local, n_coeff_sets, n_angle_sets, rng,

@@ -14,10 +14,11 @@ Every value is computed from one evaluation of the sequence kernel
 ``sequence_engine.ensemble_gates``, which gives the noisy gates U_m and the
 noise-free target O; J and the reported metrics are pure functions of
 (U, O).  Minimization uses SciPy's L-BFGS-B with the exact gradient of J,
-computed here by one reverse pass: the cotangents of J with respect to U and
-O are propagated through prefix/suffix products of the kernel's segment
-operators and contracted with the closed-form derivatives of the Euler
-rotations, so a gradient costs a few evaluations of J, whatever N.
+computed here by one reverse pass over the kernel's chain: the cotangents of
+J with respect to U and O (O being the chain's last member) are propagated
+through prefix/suffix products of the segment operators and contracted with
+the closed-form derivatives of the Euler rotations, so a gradient costs a
+few evaluations of J, whatever N.
 The termination conditions map one-to-one onto L-BFGS-B's ``ftol``
 (relative J decrease with the max{|J_k|, |J_k+1|, 1} denominator) and
 ``pgtol`` (projected-gradient max-norm).
@@ -49,8 +50,6 @@ from .sequence_engine import (
     ensemble_slices,
     gate_error,
     segment_operators,
-    target_segment_operators,
-    zz_phase_slice,
 )
 from .gate_algebra import local_rotation_grad
 from .weyl_geometry import pe_functional_grad, pe_functional_many
@@ -87,8 +86,11 @@ class OptimizerConfig:
     def __post_init__(self):
         if not (_finite_positive(self.tol_J) and _finite_positive(self.tol_gradJ)):
             raise ValueError("tol_J and tol_gradJ must be finite and positive")
-        if min(self.ensemble_size, self.history_size, self.max_iterations,
-               self.polish_rounds) < 1:
+        counts = (self.ensemble_size, self.history_size, self.max_iterations,
+                  self.polish_rounds, self.n_kicks)
+        if not all(noise_model.is_int(v) for v in counts):
+            raise ValueError("count fields must be integers")
+        if min(counts[:4]) < 1:
             raise ValueError(
                 "ensemble_size, history_size, max_iterations and polish_rounds must be >= 1"
             )
@@ -206,9 +208,8 @@ class SequenceObjective:
     def __init__(self, N, ensemble):
         self.N = N
         self.slices, self.delta_eta = ensemble_slices(ensemble)
-        # Z_N D_mk, segment-major to line up with the partial products
-        self._ZD = np.ascontiguousarray(
-            np.swapaxes(zz_phase_slice(N) @ self.slices, 0, 1))
+        # segment-major, to line up with the partial products
+        self._ZD = np.ascontiguousarray(np.swapaxes(self.slices, 0, 1))
 
     def gates(self, x):
         """(U, O) at x: the kernel on this objective's ensemble."""
@@ -228,27 +229,25 @@ class SequenceObjective:
         """J at x (bit-identical to :meth:`value`) and its exact gradient by
         one reverse pass.
 
-        ``U_m = P_k Z D_mk R(p_mk) S_k`` with ``P``/``S`` the prefix/suffix
-        products and ``p_mk = x_k (1 + delta_eta_mk)``, and the target O is
-        the same chain without noise, so with the cotangents of
-        :func:`objective_cotangents`
-        ``dJ/dx_ks = sum_m Re tr(S_k G_m P_k Z D_mk dR_s(p_mk)) (1 + delta_eta_mks)
-        + Re tr(S^O_k G_O P^O_k Z dR_s(x_k))``.
+        Member m of the kernel's chain (the target O being the last, noise-free
+        one) is ``P_k F_mk R(p_mk) S_k`` with ``P``/``S`` the prefix/suffix
+        products, ``F_mk = Z D_mk`` and ``p_mk = x_k (1 + delta_eta_mk)``, so
+        with the cotangents ``G_m`` of :func:`objective_cotangents`
+        ``dJ/dx_ks = sum_m Re tr(S_k G_m P_k F_mk dR_s(p_mk)) (1 + delta_eta_mks)``.
         """
         x = np.asarray(x, dtype=float)
-        N = self.N
         one_plus_de = 1.0 + self.delta_eta
-        perturbed = x.reshape(1, N, 6) * one_plus_de
-        prefix, suffix, U = _partial_products(segment_operators(perturbed, self.slices))
-        prefix_O, suffix_O, O = _partial_products(
-            target_segment_operators(SequenceParams(N, x)))
+        perturbed = x.reshape(1, self.N, 6) * one_plus_de
+        prefix, suffix, chain = _partial_products(segment_operators(perturbed, self.slices))
+        U, O = chain[:-1], chain[-1]
         J = objective_value(U, O, d_weight)
 
         G_U, G_O = objective_cotangents(U, O, d_weight)
-        W = np.swapaxes(suffix @ G_U @ prefix @ self._ZD, 0, 1)
-        W_O = suffix_O @ G_O @ prefix_O @ zz_phase_slice(N)
-        grad = (local_rotation_grad(perturbed, W) * one_plus_de).sum(axis=0)
-        grad += local_rotation_grad(x.reshape(N, 6), W_O)
+        G = np.concatenate([G_U, G_O[None]])
+        W = np.swapaxes(suffix @ G @ prefix @ self._ZD, 0, 1)
+        g = local_rotation_grad(perturbed, W)
+        # the target's factor 1 + delta_eta is exactly 1
+        grad = (g[:-1] * one_plus_de[:-1]).sum(axis=0) + g[-1]
         return J, grad.ravel()
 
 

@@ -7,14 +7,16 @@ applications of a fixed weakly entangling two-qubit slice:
 
 where ``Z_N`` is the entangling slice, ``D_n = exp(-i Delta_n / N)`` carries
 the noise of segment n, and ``R_n`` is the segment's local rotation.  The
-noise-free target O uses the same rotations with ``D_n = 1``.
+noise-free target O is the same chain with ``D_n = 1`` and no angle noise.
 
 Everything the package reports about a sequence comes from one kernel,
-``ensemble_gates(angles, slices, delta_eta) -> (U, O)``: the noisy gates
-``U_m`` of a frozen ensemble (stacked noise slices and local-angle
-perturbations, see ``ensemble_slices``) and their noise-free target O.  The
-metrics are pure functions of that pair (``ensemble_metrics`` here, the
-objective J in ``optimizer``).
+``ensemble_gates(angles, factors, delta_eta) -> (U, O)``.  ``ensemble_slices``
+lays out a frozen ensemble once: the fixed factors ``F_mn = Z_N D_mn`` and
+the local-angle perturbations of every member, with the target appended as
+the last, noise-free member (``F = Z_N``, ``delta_eta = 0``).  The kernel
+runs one chain over all members and splits off O.  The metrics are pure
+functions of (U, O) (``ensemble_metrics`` here, the objective J in
+``optimizer``).
 
 Entangling-slice convention: ``Z_N`` is the principal Nth root of the 2*pi
 phase gate, ``diag(1, 1, 1, exp(2j*pi/N))``, i.e. slicing the identity into N
@@ -28,7 +30,7 @@ unreachable.  The controlled-phase root stays entangling for every N >= 2.
 import numpy as np
 from dataclasses import dataclass
 
-from .gate_algebra import local_rotation, pauli_stack, trace_fidelity
+from .gate_algebra import expm_hermitian, local_rotation, pauli_stack, trace_fidelity
 from .weyl_geometry import pe_fidelity_many
 from . import noise_model
 
@@ -90,73 +92,60 @@ def chain_product(mats):
     return out
 
 
-def target_segment_operators(params):
-    """Noise-free segment operators ``Z_N R_n``, shape ``(N, 4, 4)``."""
-    return zz_phase_slice(params.N) @ local_rotation(params.angles.reshape(params.N, 6))
+def segment_operators(angles, factors):
+    """Segment operators ``F_n R_n`` from rotation angles ``(..., N, 6)`` and
+    fixed factors ``F`` ``(..., N, 4, 4)`` (see ``ensemble_slices``)."""
+    return np.einsum("...nac,...ncd->...nad", factors, local_rotation(angles))
 
 
 def target_gate(params):
     """Noise-free target: product of slice * rotation over all segments."""
-    return chain_product(target_segment_operators(params))
-
-
-def noise_slice_operators(realization, N=None):
-    """``D_n = exp(-i Delta_n / N)`` for every segment of one realization,
-    shape ``(N, 4, 4)``.
-
-    The noise generators are diagonalized per segment; quasistatic
-    realizations repeat one (already diagonalized) segment operator.
-    """
-    from .gate_algebra import expm_hermitian
-
-    N = realization.segment_count if N is None else N
-    sig = pauli_stack(realization.channels)
-    if realization.kind == noise_model.QUASISTATIC:
-        D = expm_hermitian(np.einsum("c,cab->ab", realization.delta[0], sig), 1.0 / N)
-        return np.broadcast_to(D, (N, 4, 4))
-    Delta = np.einsum("nc,cab->nab", realization.delta, sig)
-    return expm_hermitian(Delta, 1.0 / N)
+    Z = np.broadcast_to(zz_phase_slice(params.N), (params.N, 4, 4))
+    return chain_product(segment_operators(params.angles.reshape(params.N, 6), Z))
 
 
 def ensemble_slices(ensemble):
-    """Stacked noise-slice operators ``(M, N, 4, 4)`` and angle perturbations
-    ``(M, N, 6)`` for a list of realizations."""
-    N = ensemble[0].segment_count
-    if any(r.segment_count != N for r in ensemble):
-        raise ValueError("ensemble realizations disagree on segment count")
-    slices = np.stack([noise_slice_operators(r, N) for r in ensemble])
-    delta_eta = np.stack([r.delta_eta for r in ensemble])
-    return slices, delta_eta
+    """Lay out an ensemble for the kernel: the fixed factors
+    ``F_mn = Z_N D_mn`` ``(M + 1, N, 4, 4)`` and the angle perturbations
+    ``(M + 1, N, 6)``.  Members 0..M-1 are the realizations, with
+    ``D_mn = exp(-i Delta_mn / N)``; member M is the noise-free target,
+    ``F = Z_N`` and ``delta_eta = 0``.
 
-
-def segment_operators(perturbed, slices):
-    """Segment operators ``Z_N D_n R_n`` of every ensemble member, shape
-    ``(M, N, 4, 4)``, from perturbed angles ``(M, N, 6)`` (or ``(1, N, 6)``)
-    and noise slices ``(M, N, 4, 4)``."""
-    Z = zz_phase_slice(slices.shape[1])
-    R = local_rotation(perturbed)
-    return np.einsum("ab,mnbc,mncd->mnad", Z, slices, R)
-
-
-def ensemble_gates(angles, slices, delta_eta):
-    """The evaluation kernel: noisy gates ``U`` ``(M, 4, 4)`` of the ensemble
-    given by ``ensemble_slices`` and the noise-free target ``O`` ``(4, 4)``.
-
-    The target uses the *unperturbed* angles; local noise enters only U.
+    All noise generators are diagonalized in one batched call; quasistatic
+    realizations repeat one segment generator across the segments.
     """
-    params = SequenceParams(slices.shape[1], angles)
+    first = ensemble[0]
+    N = first.segment_count
+    if any((r.segment_count, r.channels, r.kind) != (N, first.channels, first.kind)
+           for r in ensemble):
+        raise ValueError("ensemble realizations disagree on segment count, channels or kind")
+    M = len(ensemble)
+    sig = pauli_stack(first.channels)
+    delta = np.stack([r.delta for r in ensemble])
+    if first.kind == noise_model.QUASISTATIC:
+        D = expm_hermitian(np.einsum("mc,cab->mab", delta[:, 0], sig), 1.0 / N)
+        D = np.broadcast_to(D[:, None], (M, N, 4, 4))
+    else:
+        D = expm_hermitian(np.einsum("mnc,cab->mnab", delta, sig), 1.0 / N)
+    Z = zz_phase_slice(N)
+    factors = np.concatenate([Z @ D, np.broadcast_to(Z, (1, N, 4, 4))])
+    delta_eta = np.concatenate([np.stack([r.delta_eta for r in ensemble]),
+                                np.zeros((1, N, 6))])
+    return factors, delta_eta
+
+
+def ensemble_gates(angles, factors, delta_eta):
+    """The evaluation kernel: one chain over the ensemble laid out by
+    ``ensemble_slices``, returning the noisy gates ``U`` ``(M, 4, 4)`` and the
+    noise-free target ``O`` ``(4, 4)``, its last member.
+
+    The target's ``delta_eta`` is zero, so O uses the *unperturbed* angles;
+    local noise enters only U.
+    """
+    params = SequenceParams(factors.shape[1], angles)
     perturbed = params.angles.reshape(1, params.N, 6) * (1.0 + delta_eta)
-    return chain_product(segment_operators(perturbed, slices)), target_gate(params)
-
-
-def evolve(params, realization):
-    """Noisy evolution operator of one realization: perturbed rotations,
-    noise slice, then the entangling slice, per segment."""
-    if realization.segment_count != params.N:
-        raise ValueError(
-            f"realization has {realization.segment_count} segments, params {params.N}"
-        )
-    return ensemble_gates(params.angles, *ensemble_slices([realization]))[0][0]
+    chain = chain_product(segment_operators(perturbed, factors))
+    return chain[:-1], chain[-1]
 
 
 def gate_error(U, O):

@@ -54,6 +54,26 @@ def canonical_gate_expm(c1, c2, c3):
     return expm(-0.5j * H)
 
 
+def zyz_expm(gamma, beta, alpha):
+    """Single-qubit ``exp(+i g/2 Z) exp(+i b/2 Y) exp(+i a/2 Z)``, one expm each."""
+    return expm(0.5j * gamma * SZ) @ expm(0.5j * beta * SY) @ expm(0.5j * alpha * SZ)
+
+
+def sequence_gate_expm(angles, delta, channels, delta_eta):
+    """Noisy sequence gate as a plain per-segment product
+    ``Z_N exp(-i Delta_n / N) (u1 (x) u2)``, segment 1 acting first."""
+    paulis = (np.eye(2), SX, SY, SZ)
+    N = len(delta)
+    Z = np.diag([1, 1, 1, np.exp(2j * np.pi / N)])
+    x = np.reshape(angles, (N, 6)) * (1.0 + np.asarray(delta_eta))
+    U = np.eye(4, dtype=complex)
+    for n in range(N):
+        H = sum(d * np.kron(paulis[i], paulis[j]) for d, (i, j) in zip(delta[n], channels))
+        R = np.kron(zyz_expm(*x[n, :3]), zyz_expm(*x[n, 3:]))
+        U = Z @ expm(-1j * H / N) @ R @ U
+    return U
+
+
 def in_pe_polyhedron(c1, c2, c3):
     """Perfect-entangler membership from the polyhedron inequalities."""
     half_pi = 0.5 * np.pi

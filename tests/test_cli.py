@@ -226,24 +226,50 @@ def test_config_errors_exit_1(tmp_path, capsys):
     cfg = write_spec(tmp_path, spec, "nolist.json")
     assert run(["optimize", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert run(["evaluate", "--solution", missing]) == 1
-    # rejected when the config is built, not as a failed cascade (exit 2)
-    for section, key, value in (("noise", "sigma_nonlocal", float("nan")),
-                                ("optimizer", "kick_scales", [])):
-        spec = small_spec()
-        spec[section][key] = value
-        cfg = write_spec(tmp_path, spec, f"bad_{key}.json")
+    # rejected when the config is built, with an error line: not as a failed
+    # cascade (exit 2) and not as a traceback
+    noise, opt = small_spec()["noise"], small_spec()["optimizer"]
+    for i, edit in enumerate([
+            {"noise": {**noise, "sigma_nonlocal": float("nan")}},
+            {"optimizer": {**opt, "kick_scales": []}},
+            {"noise": {**noise, "channels": [[4, 1]]}},
+            {"noise": {**noise, "kind": "one_over_f", "n_fluctuators": 2.5}},
+            {"noise": {**noise, "seed": -3}},
+            {"optimizer": {**opt, "ensemble_size": 2.5}},
+            {"N_list": [0, 2]},
+            {"N_list": [2.5]},
+            {"N_list": [-2]}]):
+        cfg = write_spec(tmp_path, {**small_spec(), **edit}, f"bad_{i}.json")
         capsys.readouterr()
         assert run(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert "FAILED" not in capsys.readouterr().out
-    # contour needs at least one worker thread
+        captured = capsys.readouterr()
+        assert "FAILED" not in captured.out
+        assert captured.err.startswith("error:")
+    good = write_spec(tmp_path, small_spec(), "good.json")
+    assert run(["optimize", "--config", good, "--seed", "-3", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
     sol = tmp_path / "ident.json"
     sol.write_text(json.dumps({"N": 1, "angles": [0.0] * 6}))
-    grid = write_spec(tmp_path, {"schema_version": 1, "noise": NoiseConfig().to_dict(),
-                                 "grid": {"M": 2}}, "grid.json")
+    grid_spec = {"schema_version": 1, "noise": NoiseConfig().to_dict(), "grid": {"M": 2}}
+    grid = write_spec(tmp_path, grid_spec, "grid.json")
+    assert run(["evaluate", "--config", grid, "--solution", str(sol), "--seed", "-3"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    for cmd, key in (("evaluate", "M"), ("calibrate", "N"), ("calibrate", "M")):
+        cfg = write_spec(tmp_path, {**grid_spec, key: 0}, f"bad_{cmd}_{key}.json")
+        args = ["--solution", str(sol)] if cmd == "evaluate" else []
+        assert run([cmd, "--config", cfg, *args]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+    # contour needs at least one worker thread, one member and nonempty axes
     out = tmp_path / "contour"
     assert run(["contour", "--config", grid, "--solution", str(sol), "--out", str(out),
                 "--threads", "0"]) == 1
     assert "--threads" in capsys.readouterr().err
+    for i, bad in enumerate([{"M": 0}, {"M": 2, "sigma_local": [0.01, 0.1, 0]},
+                             {"M": 2, "sigma_nonlocal": [0.1, 0.01, 2]},
+                             {"M": 2, "sigma_nonlocal": [0.0, 0.1, 2]}]):
+        cfg = write_spec(tmp_path, {**grid_spec, "grid": bad}, f"bad_grid_{i}.json")
+        assert run(["contour", "--config", cfg, "--solution", str(sol), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
     assert not (out / "contour.csv").exists()
 
 

@@ -15,7 +15,6 @@ from entseq.noise_model import (
     fluctuator_rates,
     fluctuator_weights,
     make_ensemble,
-    perturb_angles,
     rtn_value,
     RtnTrace,
     sample_noise_trace,
@@ -24,6 +23,7 @@ from entseq.noise_model import (
     sample_rtn_trace,
     spectral_weight_exponent,
 )
+from entseq.sequence_engine import SequenceParams, ensemble_gates, ensemble_slices, target_gate
 
 QS = NoiseConfig(kind=QUASISTATIC, sigma_nonlocal=0.13, sigma_local=0.01, seed=1)
 OF = NoiseConfig(kind=ONE_OVER_F, sigma_nonlocal=0.2, sigma_local=0.006, seed=1)
@@ -46,7 +46,9 @@ def test_config_validation():
         NoiseConfig(channels=((0, 0),))
     for bad in ({"sigma_nonlocal": np.nan}, {"sigma_local": np.inf}, {"gate_time_T": 0.0},
                 {"gate_time_T": np.nan}, {"alpha": np.nan}, {"nu_min": 0.0},
-                {"nu_max": np.inf}):
+                {"nu_max": np.inf}, {"n_fluctuators": 0}, {"n_fluctuators": 2.5},
+                {"seed": -3}, {"seed": 2.5}, {"channels": ((4, 1),)},
+                {"channels": ((1, -1),)}):
         for kind in (QUASISTATIC, ONE_OVER_F):
             with pytest.raises(ValueError):
                 NoiseConfig(kind=kind, **bad)
@@ -149,6 +151,10 @@ def test_one_over_f_stationary_mean():
 def test_weights_unit_variance_and_exponent():
     w = fluctuator_weights(OF)
     assert (w**2).sum() == pytest.approx(1.0, abs=1e-12)
+    # fitted once per spectral band: shared and read-only across configs
+    # that differ elsewhere
+    assert fluctuator_weights(replace(OF, sigma_nonlocal=0.5, seed=9)) is w
+    assert not w.flags.writeable
     beta = spectral_weight_exponent(OF)
     # calibrated exponent exceeds the continuum rule 1 - alpha = 0.3
     assert 0.4 < beta < 1.0
@@ -165,16 +171,27 @@ def test_periodogram_exponent():
 
 
 def test_perturb_angles():
-    real = sample_quasistatic(QS, 2, np.random.default_rng(9))
+    # the kernel applies eta -> eta * (1 + delta_eta) to U only; with no
+    # slice noise U is the target of the perturbed angles
+    real = sample_quasistatic(replace(QS, sigma_nonlocal=0.0), 2, np.random.default_rng(9))
     angles = np.arange(12.0)
-    out = perturb_angles(angles, real)
-    assert out.shape == angles.shape
-    assert np.allclose(out, angles * (1.0 + real.delta_eta.ravel()))
+
+    def gates(x):
+        U, O = ensemble_gates(x, *ensemble_slices([real]))
+        return U[0], O
+
+    U, O = gates(angles)
+    perturbed = angles * (1.0 + real.delta_eta.ravel())
+    assert np.allclose(U, target_gate(SequenceParams(2, perturbed)), atol=1e-12)
+    assert np.array_equal(O, target_gate(SequenceParams(2, angles)))
+    assert not np.allclose(U, O, atol=1e-6)
     real.delta_eta[:] = 0.0
-    assert np.array_equal(perturb_angles(angles, real), angles)
+    U, O = gates(angles)
+    assert np.array_equal(U, O)
     real.delta_eta[:] = 0.01
-    assert perturb_angles(np.full(12, np.pi / 2), real)[0] == pytest.approx(0.505 * np.pi)
-    assert perturb_angles(np.zeros(12), real).max() == 0.0
+    U, _ = gates(np.full(12, np.pi / 2))
+    assert np.allclose(U, target_gate(SequenceParams(2, np.full(12, 0.505 * np.pi))),
+                       atol=1e-12)
 
 
 def test_local_fidelity_trivial_and_monotone():

@@ -138,6 +138,11 @@ def test_gradient_synthetic_quadratic():
     {"kick_scales": (0.1, 0.0)},
     {"bounds": (1.0, -1.0)},
     {"bounds": (-np.inf, 1.0)},
+    {"ensemble_size": 2.5},
+    {"history_size": 10.0},
+    {"max_iterations": 1.5},
+    {"polish_rounds": 2.5},
+    {"n_kicks": 2.5},
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):

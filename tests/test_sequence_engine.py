@@ -4,21 +4,26 @@ from dataclasses import replace
 
 from entseq.gate_algebra import is_unitary, pauli_product, trace_fidelity
 from entseq.noise_model import (
+    ALL_CHANNELS,
     NoiseConfig,
     NoiseRealization,
+    ONE_OVER_F,
     QUASISTATIC,
     make_ensemble,
     sample_quasistatic,
 )
 from entseq.sequence_engine import (
     SequenceParams,
+    ensemble_gates,
+    ensemble_slices,
     evaluate_solution,
-    evolve,
     gate_error,
     target_gate,
     uncorrected_error,
     zz_phase_slice,
 )
+
+from oracles import sequence_gate_expm
 
 QS = NoiseConfig(seed=5)
 
@@ -72,12 +77,14 @@ def test_evolve_zero_noise_equals_target():
         real = NoiseRealization(
             np.zeros((N, 1)), np.zeros((N, 6)), ((3, 3),), QUASISTATIC
         )
-        assert np.allclose(evolve(params, real), target_gate(params), atol=1e-12)
+        U, _ = ensemble_gates(params.angles, *ensemble_slices([real]))
+        assert np.allclose(U[0], target_gate(params), atol=1e-12)
 
 
 def test_evolve_single_zz_channel_n1():
     x = 0.37
-    U = evolve(zero_params(1), single_channel_realization(1, x))
+    U = ensemble_gates(zero_params(1).angles,
+                       *ensemble_slices([single_channel_realization(1, x)]))[0][0]
     # Z_1 = identity slice, so U = exp(-i x ZZ): diagonal phases -+x
     expected = np.diag(np.exp(-1j * x * np.array([1.0, -1.0, -1.0, 1.0])))
     assert np.allclose(U, expected, atol=1e-12)
@@ -89,7 +96,8 @@ def test_sin_squared_law_all_N():
     # commuting ZZ slices recombine: eps = sin^2(x) independent of N
     x = 0.21
     for N in (1, 2, 4, 7, 16):
-        U = evolve(zero_params(N), single_channel_realization(N, x))
+        U = ensemble_gates(zero_params(N).angles,
+                           *ensemble_slices([single_channel_realization(N, x)]))[0][0]
         eps = gate_error(U, target_gate(zero_params(N)))
         assert eps == pytest.approx(np.sin(x) ** 2, abs=1e-11)
 
@@ -100,14 +108,40 @@ def test_evolve_is_unitary():
     for N in (2, 5):
         params = SequenceParams(N, rng.uniform(-np.pi, np.pi, 6 * N))
         for real in make_ensemble(cfg, N, 4):
-            U = evolve(params, real)
+            U = ensemble_gates(params.angles, *ensemble_slices([real]))[0][0]
             assert is_unitary(U)
 
 
 def test_evolve_rejects_segment_mismatch():
     real = sample_quasistatic(QS, 3, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        evolve(zero_params(2), real)
+        ensemble_gates(zero_params(2).angles, *ensemble_slices([real]))
+
+
+@pytest.mark.parametrize("kind", [QUASISTATIC, ONE_OVER_F])
+def test_kernel_matches_independent_product(kind):
+    # U against a per-segment product of scipy expm slices and kron'd ZYZ
+    # factors; O is the kernel's noise-free member, equal to target_gate
+    cfg = NoiseConfig(kind=kind, sigma_nonlocal=0.2, sigma_local=0.02,
+                      channels=ALL_CHANNELS, seed=11)
+    rng = np.random.default_rng(12)
+    for N in (1, 2, 5):
+        params = SequenceParams(N, rng.uniform(-np.pi, np.pi, 6 * N))
+        ensemble = make_ensemble(cfg, N, 6)
+        U, O = ensemble_gates(params.angles, *ensemble_slices(ensemble))
+        for Um, r in zip(U, ensemble):
+            ref = sequence_gate_expm(params.angles, r.delta, r.channels, r.delta_eta)
+            assert np.abs(Um - ref).max() <= 1e-12
+        assert np.array_equal(O, target_gate(params))
+
+
+def test_ensemble_slices_rejects_mixed_ensembles():
+    a = make_ensemble(QS, 2, 2)
+    mixed_channels = make_ensemble(replace(QS, channels=ALL_CHANNELS), 2, 1)
+    mixed_kind = make_ensemble(replace(QS, kind=ONE_OVER_F), 2, 1)
+    for other in (mixed_channels, mixed_kind):
+        with pytest.raises(ValueError):
+            ensemble_slices(a + other)
 
 
 def test_gate_error_trivials():
