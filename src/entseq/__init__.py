@@ -22,12 +22,10 @@ from .noise_model import (
     ALL_CHANNELS,
     NoiseConfig,
     NoiseRealization,
-    RtnTrace,
     TWO_LOCAL_CHANNELS,
     calibrate_amplitude,
     estimate_local_fidelity,
     make_ensemble,
-    rtn_value,
     sample_one_over_f,
     sample_quasistatic,
 )

@@ -178,6 +178,17 @@ def cmd_contour(args):
     return 0
 
 
+def _stored(sol_doc, *keys):
+    """A field of a solution file, read along ``keys``."""
+    v = sol_doc
+    try:
+        for key in keys:
+            v = v[key]
+    except (KeyError, TypeError):
+        raise ConfigError(f"solution file has no {'.'.join(keys)}") from None
+    return v
+
+
 def cmd_evaluate(args):
     params, sol_doc = load_solution(args.solution)
     if args.config:
@@ -185,9 +196,9 @@ def cmd_evaluate(args):
         noise = noise_from_spec(doc, args.seed)
         M = _count(doc, "M", 100)
     else:
-        noise = noise_from_spec(sol_doc["config"], args.seed)
-        M = int(sol_doc["config"]["optimizer"]["ensemble_size"])
-    seed = sol_doc["seeds"]["ensemble_seed"] if args.stored_seeds else noise.seed
+        noise = noise_from_spec(_stored(sol_doc, "config"), args.seed)
+        M = _count(_stored(sol_doc, "config", "optimizer"), "ensemble_size", None)
+    seed = _stored(sol_doc, "seeds", "ensemble_seed") if args.stored_seeds else noise.seed
     ensemble = make_ensemble(noise, params.N, M, seed=seed)
     metrics = evaluate_solution(params, ensemble)
     payload = {

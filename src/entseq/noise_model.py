@@ -10,6 +10,13 @@ A noise realization holds, for one sampled world:
 * ``delta_eta``  -- shape ``(N, 6)``, multiplicative perturbations applied to
   the Euler angles, one per angle slot per segment.
 
+1/f noise is a weighted bank of random-telegraph fluctuators with log-spaced
+rates ``nu_f``.  Each fluctuator switches sign as a Poisson process of rate
+``2 nu_f``, so read at sorted times it is a two-state Markov chain: a
+stationary +-1 at the first time, then a flip with probability
+``(1 - exp(-4 nu_f dt)) / 2`` across each gap ``dt`` (``telegraph_bank``).
+Only the values at the read times are drawn, never the switch events.
+
 Reproducibility: realization ``m`` of an ensemble draws from an independent
 substream ``SeedSequence(entropy=seed, spawn_key=(m,))`` so results are
 independent of evaluation order and worker count.
@@ -124,40 +131,6 @@ class NoiseRealization:
         return self.delta.shape[0]
 
 
-@dataclass
-class RtnTrace:
-    """A single random-telegraph fluctuator over ``[0, horizon]``.
-
-    ``nu`` is the relaxation rate: mean dwell time tau = 1/(2 nu), so switch
-    events are Poisson with rate ``2 nu``.
-    """
-
-    switch_times: np.ndarray
-    initial_state: int
-    nu: float
-    horizon: float
-
-
-def sample_rtn_trace(nu, horizon, rng):
-    lam = 2.0 * nu
-    times = []
-    t = rng.exponential(1.0 / lam)
-    while t < horizon:
-        times.append(t)
-        t += rng.exponential(1.0 / lam)
-    s0 = 1 if rng.random() < 0.5 else -1
-    return RtnTrace(np.asarray(times), s0, nu, horizon)
-
-
-def rtn_value(trace, t):
-    """Trace value at time(s) ``t``: initial state flipped once per switch."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0) or np.any(t > trace.horizon):
-        raise ValueError("query time outside the trace horizon")
-    flips = np.searchsorted(trace.switch_times, t, side="right")
-    return trace.initial_state * np.where(flips % 2 == 0, 1.0, -1.0)
-
-
 def fluctuator_rates(config):
     return np.geomspace(config.nu_min, config.nu_max, config.n_fluctuators)
 
@@ -206,17 +179,45 @@ def _band_weights(alpha, nu_min, nu_max, n_fluctuators):
     config = NoiseConfig(kind=ONE_OVER_F, alpha=alpha, nu_min=nu_min, nu_max=nu_max,
                          n_fluctuators=n_fluctuators)
     rates = fluctuator_rates(config)
-    w = rates ** (0.5 * spectral_weight_exponent(config))
+    # a lone fluctuator has no spectral shape to fit: it carries all the variance
+    beta = spectral_weight_exponent(config) if n_fluctuators > 1 else 0.0
+    w = rates ** (0.5 * beta)
     w = w / np.sqrt((w ** 2).sum())
     w.flags.writeable = False
     return w
 
 
-def _bank_value(traces, weights, t):
-    out = np.zeros(np.shape(t))
-    for trace, w in zip(traces, weights):
-        out = out + w * rtn_value(trace, t)
-    return out
+# time rows per block of telegraph_bank draws: bounds the temporaries of a
+# long trace without changing the draws or the states
+_TELEGRAPH_BLOCK = 1 << 14
+
+
+def telegraph_bank(config, times, rng):
+    """The weighted fluctuator bank of ``config`` read at ``times``, shape
+    ``(..., n)`` and sorted along the last axis; independent banks along the
+    leading axes.  Returns ``fluctuator_weights(config) @ states``, shape
+    ``(..., n)``, where ``states`` holds each fluctuator's +-1 values.
+
+    Draw order: the initial states, one uniform per bank and fluctuator, then
+    the flips, one uniform per gap, bank and fluctuator, time-major.  A
+    fluctuator starts at a stationary +-1 and flips across a gap ``dt`` with
+    probability ``(1 - exp(-4 nu dt)) / 2``, the chance of an odd number of
+    rate-``2 nu`` switches.
+    """
+    rates = fluctuator_rates(config)
+    weights = fluctuator_weights(config)
+    t = np.moveaxis(np.asarray(times, dtype=float), -1, 0)
+    up = rng.random(t.shape[1:] + rates.shape) < 0.5
+    out = np.empty(t.shape)
+    out[0] = np.where(up, 1.0, -1.0) @ weights
+    for a in range(1, len(t), _TELEGRAPH_BLOCK):
+        gaps = np.diff(t[a - 1:a + _TELEGRAPH_BLOCK], axis=0)[..., None]
+        flips = rng.random(gaps.shape[:-1] + rates.shape) < -0.5 * np.expm1(-4.0 * rates * gaps)
+        flips[0] ^= up
+        states = np.logical_xor.accumulate(flips, axis=0)
+        out[a:a + _TELEGRAPH_BLOCK] = np.where(states, 1.0, -1.0) @ weights
+        up = states[-1]
+    return np.moveaxis(out, 0, -1)
 
 
 def sample_quasistatic(config, N, rng):
@@ -231,25 +232,22 @@ def sample_quasistatic(config, N, rng):
 
 
 def sample_one_over_f(config, N, rng):
-    """Per-channel fluctuator banks sampled once per segment at a uniformly
-    random time within that segment's window; local slots handled the same
-    way with six independent banks."""
+    """One fluctuator bank per channel and per local angle slot, each read
+    once per segment at a uniformly random time within that segment's window.
+
+    Draw order: the ``(n_channels + 6, N)`` read times, then the banks'
+    initial states and flips (``telegraph_bank``).
+    """
     if config.kind != ONE_OVER_F:
         raise ValueError("config.kind must be one_over_f")
     T = config.gate_time_T
     lo = np.arange(N) * T / N
     hi = lo + T / N
-    rates = fluctuator_rates(config)
-    weights = fluctuator_weights(config)
-
-    def sampled_trace(sigma):
-        traces = [sample_rtn_trace(nu, T, rng) for nu in rates]
-        return sigma * _bank_value(traces, weights, rng.uniform(lo, hi))
-
-    delta = np.stack(
-        [sampled_trace(config.sigma_nonlocal) for _ in config.channels], axis=1
-    )
-    delta_eta = np.stack([sampled_trace(config.sigma_local) for _ in range(6)], axis=1)
+    C = len(config.channels)
+    times = rng.uniform(lo, hi, (C + 6, N))
+    banks = telegraph_bank(config, times, rng)
+    delta = config.sigma_nonlocal * banks[:C].T
+    delta_eta = config.sigma_local * banks[C:].T
     return NoiseRealization(delta, delta_eta, config.channels, config.kind)
 
 
@@ -334,12 +332,10 @@ def calibrate_amplitude(target_uncorrected_error, config, N, M,
 
 
 def sample_noise_trace(config, duration, sample_rate, rng):
-    """One summed, weighted fluctuator process on a uniform time grid
+    """One summed, weighted fluctuator bank on a uniform time grid
     (diagnostic helper for spectral checks)."""
-    weights = fluctuator_weights(config)
-    traces = [sample_rtn_trace(nu, duration, rng) for nu in fluctuator_rates(config)]
     t = np.arange(0.0, duration, 1.0 / sample_rate)
-    return t, config.sigma_nonlocal * _bank_value(traces, weights, t)
+    return t, config.sigma_nonlocal * telegraph_bank(config, t, rng)
 
 
 def fit_spectral_exponent(x, sample_rate, band, nperseg=32768, n_bins=24):

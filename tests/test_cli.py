@@ -168,6 +168,25 @@ def test_contour_csv(solution_dir, tmp_path):
     assert (out / "contour.csv").read_bytes() == (out2 / "contour.csv").read_bytes()
 
 
+def test_contour_one_over_f_threads_byte_identical(solution_dir, tmp_path):
+    # every grid point samples its 1/f ensemble from its own substreams
+    sol = solution_dir / "solution_quasistatic_N002.json"
+    spec = {
+        "schema_version": 1,
+        "noise": NoiseConfig(kind="one_over_f", seed=7).to_dict(),
+        "grid": {"sigma_local": [1e-3, 1e-2, 2], "sigma_nonlocal": [0.05, 0.2, 2], "M": 10},
+    }
+    cfg = write_spec(tmp_path, spec, "onef_grid.json")
+    csv = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        assert run(["contour", "--config", cfg, "--solution", str(sol), "--out", str(out),
+                    "--threads", threads]) == 0
+        csv.append((out / "contour.csv").read_bytes())
+    assert csv[0] == csv[1]
+    assert len(csv[0].splitlines()) == 5
+
+
 def test_optimize_noise_free_steers_to_perfect_entangler(tmp_path, capsys):
     spec = small_spec()
     spec["noise"]["sigma_nonlocal"] = 0.0
@@ -253,6 +272,11 @@ def test_config_errors_exit_1(tmp_path, capsys):
     grid_spec = {"schema_version": 1, "noise": NoiseConfig().to_dict(), "grid": {"M": 2}}
     grid = write_spec(tmp_path, grid_spec, "grid.json")
     assert run(["evaluate", "--config", grid, "--solution", str(sol), "--seed", "-3"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    # a bare solution file carries no noise config and no seeds to reuse
+    assert run(["evaluate", "--solution", str(sol)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert run(["evaluate", "--config", grid, "--solution", str(sol), "--stored-seeds"]) == 1
     assert capsys.readouterr().err.startswith("error:")
     for cmd, key in (("evaluate", "M"), ("calibrate", "N"), ("calibrate", "M")):
         cfg = write_spec(tmp_path, {**grid_spec, key: 0}, f"bad_{cmd}_{key}.json")

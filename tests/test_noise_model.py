@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from dataclasses import replace
-from scipy import stats
 
 from entseq.noise_model import (
     ALL_CHANNELS,
@@ -15,13 +14,11 @@ from entseq.noise_model import (
     fluctuator_rates,
     fluctuator_weights,
     make_ensemble,
-    rtn_value,
-    RtnTrace,
     sample_noise_trace,
     sample_one_over_f,
     sample_quasistatic,
-    sample_rtn_trace,
     spectral_weight_exponent,
+    telegraph_bank,
 )
 from entseq.sequence_engine import SequenceParams, ensemble_gates, ensemble_slices, target_gate
 
@@ -91,39 +88,92 @@ def test_determinism_same_seed():
 def test_substreams_are_order_independent():
     from entseq.noise_model import realization_rng, sample_realization
 
-    direct = sample_realization(QS, 4, realization_rng(QS.seed, 3))
-    ensemble = make_ensemble(QS, 4, 6)
-    assert np.array_equal(direct.delta, ensemble[3].delta)
+    for cfg in (QS, OF):
+        direct = sample_realization(cfg, 4, realization_rng(cfg.seed, 3))
+        ensemble = make_ensemble(cfg, 4, 6)
+        assert np.array_equal(direct.delta, ensemble[3].delta)
+        assert np.array_equal(direct.delta_eta, ensemble[3].delta_eta)
+        # an ensemble's members do not depend on how many members follow
+        assert np.array_equal(make_ensemble(cfg, 4, 4)[3].delta, ensemble[3].delta)
 
 
-def test_rtn_value_examples():
-    trace = RtnTrace(np.array([]), 1, 0.5, 10.0)
-    assert rtn_value(trace, 5.0) == 1.0
-    trace = RtnTrace(np.array([1.0]), 1, 0.5, 10.0)
-    assert rtn_value(trace, 2.0) == -1.0
-    assert rtn_value(trace, 0.5) == 1.0
-    with pytest.raises(ValueError):
-        rtn_value(trace, 11.0)
+def one_fluctuator(nu):
+    return NoiseConfig(kind=ONE_OVER_F, sigma_nonlocal=1.0, n_fluctuators=1,
+                       nu_min=nu, nu_max=2.0 * nu)
 
 
-def test_rtn_time_average_near_zero():
-    rng = np.random.default_rng(4)
-    trace = sample_rtn_trace(1.0, 5000.0, rng)
-    t = np.linspace(0, 5000.0, 40_000)
-    vals = rtn_value(trace, t)
+def flip_probability(nu, dt):
+    return -0.5 * np.expm1(-4.0 * nu * dt)
+
+
+def test_telegraph_autocovariance_matches_lorentzian_sum():
+    # the bank's autocovariance is sum_f w_f^2 exp(-4 nu_f dt); the bound is
+    # four Bartlett standard errors of the lag-k sample autocovariance
+    cfg = replace(OF, sigma_nonlocal=1.0)
+    rate = 10.0
+    _, x = sample_noise_trace(cfg, duration=20_000.0, sample_rate=rate,
+                              rng=np.random.default_rng(12))
+    w2, nu = fluctuator_weights(cfg) ** 2, fluctuator_rates(cfg)
+
+    def cov(k):
+        return (w2 * np.exp(-4.0 * nu * np.abs(k)[..., None] / rate)).sum(-1)
+
+    j = np.arange(-2000, 2001)
+    for k in (1, 3, 10):
+        sample = np.mean(x[:-k] * x[k:])
+        se = np.sqrt((cov(j) ** 2 + cov(j + k) * cov(j - k)).sum() / x.size)
+        assert abs(sample - cov(k)) <= 4.0 * se, (k, sample, cov(k), se)
+
+
+def test_telegraph_flip_frequency():
+    nu = 0.8
+    cfg = one_fluctuator(nu)
+    assert fluctuator_rates(cfg)[0] == nu and fluctuator_weights(cfg)[0] == 1.0
+    _, x = sample_noise_trace(cfg, duration=20_000.0, sample_rate=10.0,
+                              rng=np.random.default_rng(13))
+    assert set(np.unique(x)) == {-1.0, 1.0}
+    # flips across disjoint gaps are independent: binomial counts, also for
+    # the k-step gaps of the thinned chain (the Markov property)
+    for k in (1, 4):
+        y = x[::k]
+        p = flip_probability(nu, 0.1 * k)
+        freq = np.mean(y[1:] != y[:-1])
+        assert abs(freq - p) <= 4.0 * np.sqrt(p * (1.0 - p) / (y.size - 1)), (k, freq, p)
+    # irregular gaps: the flip probability follows each gap's length
+    rng = np.random.default_rng(14)
+    times = np.sort(rng.uniform(0.0, 50_000.0, 100_000))
+    y = telegraph_bank(cfg, times, rng)
+    gaps = np.diff(times)
+    p = flip_probability(nu, gaps)
+    excess = (y[1:] != y[:-1]) - p
+    short = gaps < np.median(gaps)
+    for sel in (slice(None), short, ~short):
+        assert abs(excess[sel].sum()) <= 4.0 * np.sqrt((p * (1.0 - p))[sel].sum())
+
+
+def test_telegraph_initial_state_stationary():
+    # independent banks along the leading axis, each starting at a fair +-1
+    y = telegraph_bank(one_fluctuator(0.5), np.zeros((40_000, 2)), np.random.default_rng(15))
+    assert set(np.unique(y)) == {-1.0, 1.0}
+    assert np.array_equal(y[:, 0], y[:, 1])    # no flip across a zero gap
+    assert abs(y[:, 0].mean()) <= 4.0 / np.sqrt(y.shape[0])
+
+
+def test_telegraph_time_average_near_zero():
+    _, x = sample_noise_trace(one_fluctuator(1.0), duration=5000.0, sample_rate=8.0,
+                              rng=np.random.default_rng(4))
     # effective sample count ~ duration * switch rate
     n_eff = 5000.0 * 2.0
-    assert abs(vals.mean()) < 3.0 / np.sqrt(n_eff)
+    assert abs(x.mean()) < 3.0 / np.sqrt(n_eff)
 
 
-def test_rtn_gaps_exponential_ks():
-    rng = np.random.default_rng(5)
-    nu = 0.8
-    trace = sample_rtn_trace(nu, 100_000.0 / (2 * nu), rng)
-    gaps = np.diff(np.r_[0.0, trace.switch_times])[:100_000]
-    assert gaps.size >= 100_000 * 0.9
-    stat = stats.kstest(gaps, "expon", args=(0, 1.0 / (2 * nu)))
-    assert stat.pvalue > 0.01
+def test_telegraph_blocks_do_not_change_the_bank(monkeypatch):
+    import entseq.noise_model as nm
+
+    times = np.sort(np.random.default_rng(16).uniform(0.0, 100.0, (3, 1000)))
+    whole = telegraph_bank(OF, times, np.random.default_rng(17))
+    monkeypatch.setattr(nm, "_TELEGRAPH_BLOCK", 7)
+    assert np.array_equal(telegraph_bank(OF, times, np.random.default_rng(17)), whole)
 
 
 def test_one_over_f_zero_amplitude():
