@@ -42,7 +42,6 @@ from .sequence_engine import (
 from .optimizer import (
     OptimizationResult,
     OptimizerConfig,
-    SolutionStore,
     SequenceObjective,
     cascade_optimize,
     initialize_guess,

@@ -15,7 +15,7 @@ seed) which is recorded in every output artifact.  Reruns with the same seed
 reproduce all results bit-for-bit; the only non-reproducible output field is
 the wall_time_s column of the optimize summary CSV.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure.
 """
 
 import argparse
@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .noise_model import NoiseConfig, calibrate_amplitude, is_int, make_ensemble
-from .optimizer import OptimizerConfig, SolutionStore, cascade_optimize, derived_seed
+from .optimizer import OptimizerConfig, cascade_optimize, derived_seed
 from .sequence_engine import SequenceParams, evaluate_solution, target_gate, uncorrected_error
 from .weyl_geometry import (
     cartan_decompose,
@@ -102,16 +102,16 @@ def cmd_optimize(args):
     n_list = doc.get("N_list")
     if not n_list:
         raise ConfigError("optimize requires N_list in the experiment config")
-    if not (isinstance(n_list, list) and all(is_int(N) and N >= 1 for N in n_list)):
-        raise ConfigError(f"N_list must be a list of positive integers, got {n_list!r}")
+    if not (isinstance(n_list, list) and all(is_int(N) and N >= 1 for N in n_list)
+            and len(set(n_list)) == len(n_list)):
+        raise ConfigError(f"N_list must be a list of distinct positive integers, got {n_list!r}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    store = SolutionStore(out, kind=noise.kind)
 
     def progress(msg):
         print(msg, flush=True)
 
-    results = cascade_optimize(sorted(n_list), noise, opt, store=store, progress=progress)
+    results = cascade_optimize(sorted(n_list), noise, opt, out=out, progress=progress)
     csv_path = out / "optimize_summary.csv"
     with csv_path.open("w") as fh:
         fh.write("N,epsilon_uncorrected,epsilon_optimized,epsilon_pe,iterations,wall_time_s\n")
@@ -294,17 +294,28 @@ def cmd_calibrate(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration error (exit 1), not argparse's exit 2,
+    which would read as a numerical failure."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="entseq", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = _Parser(prog="entseq", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
+
+    def output(sp, default):
+        sp.add_argument("--out", default=default,
+                        help="output directory" if default else
+                        "output directory (reports go to stdout when omitted)")
 
     def common(sp, config_required=True, out_default="out"):
         sp.add_argument("--config", required=config_required, help="experiment spec JSON")
         sp.add_argument("--seed", type=int, default=None, help="override the root seed")
-        sp.add_argument("--out", default=out_default,
-                        help="output directory" if out_default else
-                        "output directory (reports go to stdout when omitted)")
+        output(sp, out_default)
 
     sp = sub.add_parser("optimize", help="cascade-optimize sequence lengths")
     common(sp)
@@ -325,7 +336,7 @@ def build_parser():
     sp.set_defaults(func=cmd_evaluate)
 
     sp = sub.add_parser("decompose", help="Cartan-decomposition report of a solution")
-    common(sp, config_required=False, out_default=None)
+    output(sp, None)
     sp.add_argument("--solution", required=True)
     sp.set_defaults(func=cmd_decompose)
 
@@ -338,9 +349,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

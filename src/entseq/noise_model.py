@@ -103,7 +103,8 @@ class NoiseConfig:
         version = d.pop("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported NoiseConfig schema version {version}")
-        d["channels"] = tuple(tuple(c) for c in d["channels"])
+        if "channels" in d:
+            d["channels"] = tuple(tuple(c) for c in d["channels"])
         return cls(**d)
 
     def to_json(self, **kw):

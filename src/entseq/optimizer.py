@@ -28,8 +28,12 @@ plain descent: repeated descents until the relative-decrease test fails
 between rounds ("polish"), plus seeded perturbation kicks restarted from the
 best point so far.  Plain L-BFGS-B reliably stalls in razor-thin valleys of
 this landscape; the kicks recover another factor of 2-3 in final error and
-cost only seconds at desk scale.  Every descent, polish and search candidate
-is a ``Descent`` record.
+cost only seconds at desk scale.
+
+Each L-BFGS-B descent is one ``Descent`` record, whose J ``history`` starts
+at the descent's own first evaluation, x0.  A result's ``J_history`` and
+``iterations`` are read from the records of all its descents, in the order
+they ran, and each length is tiled only from solutions of the same cascade.
 """
 
 import json
@@ -271,19 +275,20 @@ def classify_termination(message, nit, max_iterations):
 
 @dataclass
 class Descent:
-    """End point of an L-BFGS-B descent: x, J there, iterations and SciPy's
-    status message."""
+    """One L-BFGS-B descent: its end point x, J there, iterations, SciPy's
+    status message and the J of each accepted iterate, the start first."""
 
     x: np.ndarray
     J: float
     nit: int
     message: str
+    history: list
 
 
-def _lbfgs(obj, x0, config, d_weight=1.0, J0=None):
-    """One L-BFGS-B descent; returns (Descent, accepted-J history).  ``J0``
-    is J at x0 when the caller already has it."""
+def _lbfgs(obj, x0, config, d_weight=1.0):
+    """One L-BFGS-B descent from x0."""
     evals = {}
+    accepted = []
 
     def fun(x):
         J, g = obj.value_and_grad(x, d_weight)
@@ -293,8 +298,6 @@ def _lbfgs(obj, x0, config, d_weight=1.0, J0=None):
     def J_at(x):
         J = evals.get(x.tobytes())
         return obj.value(x, d_weight) if J is None else J
-
-    history = [obj.value(np.asarray(x0, dtype=float), d_weight) if J0 is None else J0]
 
     bounds = None
     if config.bounds is not None:
@@ -306,7 +309,7 @@ def _lbfgs(obj, x0, config, d_weight=1.0, J0=None):
         jac=True,
         method="L-BFGS-B",
         bounds=bounds,
-        callback=lambda xk: history.append(J_at(xk)),
+        callback=lambda xk: accepted.append(J_at(xk)),
         options={
             "ftol": config.tol_J,
             "gtol": config.tol_gradJ,
@@ -314,35 +317,33 @@ def _lbfgs(obj, x0, config, d_weight=1.0, J0=None):
             "maxcor": config.history_size,
         },
     )
-    # after a line-search failure SciPy returns the last accepted x with the
-    # J of its last trial point, so J is read at x from the evaluations
-    return Descent(res.x, J_at(res.x), int(res.nit), res.message), history
+    # L-BFGS-B evaluates its start point first.  After a line-search failure
+    # SciPy returns the last accepted x with the J of its last trial point,
+    # so J is read at x from the evaluations
+    history = [next(iter(evals.values()))] + accepted
+    return Descent(res.x, J_at(res.x), int(res.nit), res.message, history)
 
 
-def _polish(obj, x0, config, d_weight=1.0):
-    """Repeat descents until a round fails the relative-decrease test;
-    returns (best Descent, J history, total iterations)."""
+def _polish(obj, x0, config, log, d_weight=1.0):
+    """Repeat descents, each from where the last one ended, until a round
+    fails the relative-decrease test; appends every descent to ``log`` and
+    returns the best."""
     x = np.asarray(x0, dtype=float)
     best = None
-    history = []
-    nit = 0
     for _ in range(config.polish_rounds):
-        # later rounds start where the previous one ended, at a known J
-        res, hist = _lbfgs(obj, x, config, d_weight, None if best is None else best.J)
-        history.extend(hist)
-        nit += res.nit
+        res = _lbfgs(obj, x, config, d_weight)
+        log.append(res)
         if best is not None and relative_decrease(best.J, res.J) <= config.tol_J:
-            if res.J < best.J:
-                best = res
-            break
+            return res if res.J < best.J else best
         best = res
         x = res.x
-    return best, history, nit
+    return best
 
 
-def _search(obj, inits, config, rng):
+def _search(obj, inits, config, rng, log):
     """Polished descents from each init, seeded kicks around the running
-    best, and a perfect-entangler repair phase.
+    best, and a perfect-entangler repair phase; appends every descent to
+    ``log`` and returns the selected one.
 
     Selection prefers, among all converged candidates, the lowest-J one
     whose full-ensemble PE error is at or below ``PE_TARGET``, provided its
@@ -352,8 +353,6 @@ def _search(obj, inits, config, rng):
     the true objective before being considered).
     """
     candidates = []   # (J, eps_PE, Descent)
-    history = []
-    nit_total = 0
 
     def consider(res):
         candidates.append((res.J, obj.epsilon_pe(res.x), res))
@@ -367,20 +366,13 @@ def _search(obj, inits, config, rng):
                 return cand
         return best
 
-    def run_polish(x0, d_weight=1.0):
-        nonlocal nit_total
-        res, hist, nit = _polish(obj, x0, config, d_weight)
-        history.extend(hist)
-        nit_total += nit
-        return res
-
     start_points = []
     for x0 in inits:
         x0 = np.asarray(x0, dtype=float)
         start_points.append(x0)
         start_points.append(x0 + rng.normal(0.0, 0.05, x0.size))
     for x0 in start_points:
-        consider(run_polish(x0))
+        consider(_polish(obj, x0, config, log))
     n = start_points[0].size
     for k in range(config.n_kicks):
         scale = config.kick_scales[k % len(config.kick_scales)]
@@ -389,19 +381,18 @@ def _search(obj, inits, config, rng):
             # restrict every third kick to a random half of the segments
             mask = np.repeat(rng.random(n // 6) < 0.5, 6)
             kick = kick * mask
-        consider(run_polish(select()[2].x + kick))
+        consider(_polish(obj, select()[2].x + kick, config, log))
 
     for weight in PE_REPAIR_WEIGHTS:
         chosen = select()
         if chosen[1] <= PE_TARGET:
             break
-        pushed = run_polish(chosen[2].x, d_weight=weight)
+        pushed = _polish(obj, chosen[2].x, config, log, d_weight=weight)
         # the pushed endpoint is itself a candidate, scored under the true
         # objective (re-polishing may slide back out of the polyhedron)
         consider(replace(pushed, J=obj.value(pushed.x)))
-        consider(run_polish(pushed.x))
-    _, best_pe, best = select()
-    return best, best_pe, history, nit_total
+        consider(_polish(obj, pushed.x, config, log))
+    return select()[2]
 
 
 def _largest_proper_divisor(N):
@@ -411,57 +402,31 @@ def _largest_proper_divisor(N):
     return 1
 
 
-def initialize_guess(N, store):
-    """Tile the stored solution of the largest proper divisor of N, or fall
-    back to identity rotations (all-zero angles) for primes / missing entries."""
+def initialize_guess(N, solved):
+    """Tile the solution of the largest proper divisor of N from ``solved``
+    ({N: SequenceParams}), or fall back to identity rotations (all-zero
+    angles) for primes and missing entries."""
     d = _largest_proper_divisor(N)
-    if d > 1 and store is not None:
-        parent = store.get(d)
-        if parent is not None:
-            return parent.tiled(N // d)
+    if d > 1 and d in solved:
+        return solved[d].tiled(N // d)
     return SequenceParams(N, np.zeros(6 * N))
 
 
-class SolutionStore:
-    """Optimized-sequence store: one JSON document per (N, noise kind).
-
-    With ``directory=None`` the store is memory-only (used inside a single
-    cascade); with a directory it persists across runs and is what the CLI
-    reads back for evaluation and decomposition.
-    """
-
-    def __init__(self, directory=None, kind=noise_model.QUASISTATIC):
-        self.directory = Path(directory) if directory is not None else None
-        self.kind = kind
-        self._mem = {}
-        if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-
-    def path_for(self, N):
-        return self.directory / f"solution_{self.kind}_N{N:03d}.json"
-
-    def get(self, N):
-        if N in self._mem:
-            return self._mem[N]
-        if self.directory is not None:
-            path = self.path_for(N)
-            if path.exists():
-                doc = json.loads(path.read_text())
-                return SequenceParams(doc["N"], np.asarray(doc["angles"]))
-        return None
-
-    def put(self, result):
-        """Store a result; on disk the file is replaced atomically, so an
-        interrupted write leaves the previous solution intact."""
-        self._mem[result.params.N] = result.params
-        if self.directory is not None:
-            path = self.path_for(result.params.N)
-            tmp = path.with_suffix(f".{os.getpid()}.tmp")
-            try:
-                tmp.write_text(json.dumps(result.to_dict(), indent=1, sort_keys=True))
-                os.replace(tmp, path)
-            finally:
-                tmp.unlink(missing_ok=True)
+def write_solution(out, result):
+    """Write ``result`` to ``out/solution_<kind>_N<NNN>.json`` and return the
+    path.  The file is replaced atomically, so an interrupted write leaves
+    the previous file intact."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    kind = result.config["noise"]["kind"]
+    path = out / f"solution_{kind}_N{result.params.N:03d}.json"
+    tmp = path.with_suffix(f".{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(result.to_dict(), indent=1, sort_keys=True))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return path
 
 
 def derived_seed(root_seed, *key):
@@ -470,18 +435,21 @@ def derived_seed(root_seed, *key):
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def cascade_optimize(N_list, noise_config, optimizer_config, store=None,
+def cascade_optimize(N_list, noise_config, optimizer_config, out=None,
                      progress=None):
     """Optimize each sequence length in ascending order, tiling earlier
-    solutions into the initial guesses of later ones.
+    solutions of this call into the initial guesses of later ones.
 
     Each length gets a fresh ensemble whose seed is derived from the noise
-    config's seed and N; all seeds are recorded in the results.  Per-length
-    failures are reported and skipped without aborting the cascade.
+    config's seed and N; all seeds are recorded in the results.  With an
+    ``out`` directory each result is written there as soon as it is solved.
+    Per-length failures are reported and skipped without aborting the
+    cascade.
     """
-    if list(N_list) != sorted(N_list):
-        raise ValueError("N_list must be sorted ascending")
-    store = store if store is not None else SolutionStore(kind=noise_config.kind)
+    N_list = list(N_list)
+    if any(a >= b for a, b in zip(N_list, N_list[1:])):
+        raise ValueError("N_list must be strictly ascending")
+    solved = {}
     results = []
     for N in N_list:
         t0 = time.perf_counter()
@@ -492,19 +460,20 @@ def cascade_optimize(N_list, noise_config, optimizer_config, store=None,
                 noise_config, N, optimizer_config.ensemble_size, seed=ensemble_seed
             )
             obj = SequenceObjective(N, ensemble)
-            guess = initialize_guess(N, store)
+            guess = initialize_guess(N, solved)
             inits = [guess.angles]
             if np.any(guess.angles):
                 inits.append(np.zeros(6 * N))
-            best, _, history, nit = _search(
-                obj, inits, optimizer_config, np.random.default_rng(search_seed)
+            descents = []
+            best = _search(
+                obj, inits, optimizer_config, np.random.default_rng(search_seed), descents
             )
             result = OptimizationResult(
                 params=SequenceParams(N, best.x),
                 J_final=best.J,
-                J_history=history,
+                J_history=[J for d in descents for J in d.history],
                 final_metrics=obj.metrics(best.x),
-                iterations=nit,
+                iterations=sum(d.nit for d in descents),
                 termination_reason=classify_termination(
                     best.message, best.nit, optimizer_config.max_iterations
                 ),
@@ -524,7 +493,9 @@ def cascade_optimize(N_list, noise_config, optimizer_config, store=None,
                 progress(f"N={N}: FAILED ({exc})")
             continue
         result.wall_time_s = time.perf_counter() - t0
-        store.put(result)
+        solved[N] = result.params
+        if out is not None:
+            write_solution(out, result)
         results.append(result)
         if progress is not None:
             progress(

@@ -257,7 +257,8 @@ def test_config_errors_exit_1(tmp_path, capsys):
             {"optimizer": {**opt, "ensemble_size": 2.5}},
             {"N_list": [0, 2]},
             {"N_list": [2.5]},
-            {"N_list": [-2]}]):
+            {"N_list": [-2]},
+            {"N_list": [2, 2]}]):
         cfg = write_spec(tmp_path, {**small_spec(), **edit}, f"bad_{i}.json")
         capsys.readouterr()
         assert run(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -300,9 +301,46 @@ def test_config_errors_exit_1(tmp_path, capsys):
 def test_threads_only_on_contour():
     from entseq.cli import build_parser
 
-    parser = build_parser()
-    with pytest.raises(SystemExit):
-        parser.parse_args(["optimize", "--config", "c.json", "--threads", "2"])
-    args = parser.parse_args(["contour", "--config", "c.json", "--solution", "s.json",
-                              "--threads", "2"])
+    assert main(["optimize", "--config", "c.json", "--threads", "2"]) == 1
+    args = build_parser().parse_args(["contour", "--config", "c.json", "--solution", "s.json",
+                                      "--threads", "2"])
     assert args.threads == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--config", "c.json", "--seed", "abc"],      # bad int value
+    ["optimize", "--config", "c.json", "--frobnicate"],       # unknown flag
+    ["contour", "--config", "c.json"],                        # missing --solution
+    [],                                                       # missing command
+    ["decompose", "--solution", "s.json", "--config", "c.json", "--seed", "5"],
+], ids=["bad-int", "unknown-flag", "missing-flag", "no-command", "decompose-config"])
+def test_usage_errors_exit_1(argv, capsys):
+    # exit 2 is reserved for numerical failures
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: entseq")
+    assert len(err.splitlines()) == 1
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["optimize", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: entseq" in capsys.readouterr().out
+
+
+def test_optimize_ignores_stale_solutions_in_out(tmp_path):
+    # an N = 2 file from another seed in --out must not seed the N = 4 search
+    stale = tmp_path / "stale"
+    assert run(["optimize", "--config", write_spec(tmp_path, small_spec(seed=8), "s8.json"),
+                "--out", str(stale)]) == 0
+    assert (stale / "solution_quasistatic_N002.json").exists()
+    cfg = write_spec(tmp_path, small_spec(n_list=(4,)), "n4.json")
+    fresh = tmp_path / "fresh"
+    assert run(["optimize", "--config", cfg, "--out", str(fresh)]) == 0
+    assert run(["optimize", "--config", cfg, "--out", str(stale)]) == 0
+    name = "solution_quasistatic_N004.json"
+    assert (stale / name).read_bytes() == (fresh / name).read_bytes()
+    assert read_csv_without_walltime(stale / "optimize_summary.csv") == \
+        read_csv_without_walltime(fresh / "optimize_summary.csv")

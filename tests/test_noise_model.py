@@ -56,6 +56,11 @@ def test_config_json_round_trip():
     assert NoiseConfig.from_json(s) == OF
 
 
+def test_config_from_dict_default_channels():
+    # a noise block without channels means the default two-local set
+    assert NoiseConfig.from_dict({"kind": "one_over_f"}) == NoiseConfig(kind="one_over_f")
+
+
 def test_quasistatic_zero_amplitude():
     cfg = replace(QS, sigma_nonlocal=0.0, sigma_local=0.0)
     real = sample_quasistatic(cfg, 4, np.random.default_rng(0))

@@ -12,7 +12,6 @@ from entseq.noise_model import NoiseConfig, ONE_OVER_F, make_ensemble
 from entseq.optimizer import (
     OptimizerConfig,
     SequenceObjective,
-    SolutionStore,
     TERM_LINE_SEARCH,
     TERM_MAX_ITER,
     TERM_TOL_GRADJ,
@@ -23,6 +22,7 @@ from entseq.optimizer import (
     derived_seed,
     initialize_guess,
     relative_decrease,
+    write_solution,
 )
 from entseq.sequence_engine import SequenceParams, gate_error
 from entseq.weyl_geometry import pe_functional_many
@@ -192,9 +192,9 @@ def test_minimize_noise_free_reaches_perfect_entangler():
     # a deterministic offset is enough for the descent test
     x0 = np.full(12, 0.3)
     obj = SequenceObjective(2, ensemble)
-    res, history = _lbfgs(obj, x0, config)
+    res = _lbfgs(obj, x0, config)
     assert res.J <= obj.value(x0)
-    assert history[0] >= history[-1]
+    assert res.history[0] >= res.history[-1]
     assert classify_termination(res.message, res.nit, config.max_iterations) in (
         TERM_TOL_J, TERM_TOL_GRADJ)
     metrics = obj.metrics(res.x)
@@ -206,18 +206,18 @@ def test_minimize_history_matches_objective():
     ensemble = make_ensemble(QS, 2, 10)
     config = OptimizerConfig(ensemble_size=10, max_iterations=5)
     obj = SequenceObjective(2, ensemble)
-    res, history = _lbfgs(obj, np.full(12, 0.2), config)
-    assert history[0] == pytest.approx(
+    res = _lbfgs(obj, np.full(12, 0.2), config)
+    assert res.history[0] == pytest.approx(
         SequenceObjective(2, ensemble).value(np.full(12, 0.2))
     )
-    assert res.J <= history[0]
+    assert res.J <= res.history[0]
 
 
 def test_minimize_respects_bounds():
     ensemble = make_ensemble(QS, 2, 5)
     config = OptimizerConfig(ensemble_size=5, bounds=(-0.5, 0.5), max_iterations=50)
     obj = SequenceObjective(2, ensemble)
-    res, _ = _lbfgs(obj, np.zeros(12), config)
+    res = _lbfgs(obj, np.zeros(12), config)
     assert np.all(res.x >= -0.5 - 1e-12)
     assert np.all(res.x <= 0.5 + 1e-12)
 
@@ -240,7 +240,7 @@ def test_lbfgs_J_is_value_at_returned_x():
     x = np.random.default_rng(0).uniform(-2, 2, 12)
     reasons = []
     for _ in range(4):
-        res, _ = _lbfgs(obj, x, config)
+        res = _lbfgs(obj, x, config)
         assert res.J == obj.value(res.x)
         reasons.append(classify_termination(res.message, res.nit, config.max_iterations))
         x = res.x
@@ -252,51 +252,39 @@ def test_polish_reuses_known_start_values(monkeypatch):
     config = OptimizerConfig(ensemble_size=10, polish_rounds=4)
     obj = SequenceObjective(2, ensemble)
     x0 = np.random.default_rng(6).uniform(-2, 2, 12)
-    starts = []
+    value = obj.value
     evaluated = []
-    value, lbfgs = obj.value, optimizer._lbfgs
 
     def counted_value(x, d_weight=1.0):
         evaluated.append(x.copy())
         return value(x, d_weight)
 
-    def recorded_lbfgs(obj, x, config, d_weight=1.0, J0=None):
-        res, hist = lbfgs(obj, x, config, d_weight, J0)
-        starts.append((value(x, d_weight), hist[0]))
-        return res, hist
-
     monkeypatch.setattr(obj, "value", counted_value)
-    monkeypatch.setattr(optimizer, "_lbfgs", recorded_lbfgs)
-    optimizer._polish(obj, x0, config)
-    assert len(starts) > 1
-    assert all(J == first for J, first in starts)
-    # only the first round's start is evaluated by value()
-    assert len(evaluated) == 1 and np.array_equal(evaluated[0], x0)
+    log = []
+    best = optimizer._polish(obj, x0, config, log)
+    assert len(log) > 1 and any(best is res for res in log)
+    # each round starts where the previous one ended, and J there is read
+    # from the round's own first evaluation
+    starts = [x0] + [res.x for res in log[:-1]]
+    assert all(res.history[0] == value(x) for res, x in zip(log, starts))
+    assert evaluated == []
 
 
 def test_initialize_guess_tiling_rules():
-    store = SolutionStore()
-
-    class R:  # minimal stand-in for OptimizationResult
-        def __init__(self, params):
-            self.params = params
-
-        def to_dict(self):
-            return {}
-
+    solved = {}
     p2 = SequenceParams(2, np.arange(12.0))
-    store.put(R(p2))
-    g4 = initialize_guess(4, store)
+    solved[2] = p2
+    g4 = initialize_guess(4, solved)
     assert np.array_equal(g4.angles.reshape(4, 6)[:2], p2.angles.reshape(2, 6))
     assert np.array_equal(g4.angles.reshape(4, 6)[2:], p2.angles.reshape(2, 6))
     # prime length: identity rotations
-    assert not initialize_guess(7, store).angles.any()
-    # composite but largest divisor missing from the store: identity fallback
-    assert not initialize_guess(6, store).angles.any()
+    assert not initialize_guess(7, solved).angles.any()
+    # composite but largest divisor not solved: identity fallback
+    assert not initialize_guess(6, solved).angles.any()
     # greatest divisor is preferred
     p6 = SequenceParams(6, np.arange(36.0))
-    store.put(R(p6))
-    g12 = initialize_guess(12, store)
+    solved[6] = p6
+    g12 = initialize_guess(12, solved)
     assert np.array_equal(g12.angles[:36], p6.angles)
 
 
@@ -319,8 +307,9 @@ def test_cascade_reproducible_and_descending():
         assert np.array_equal(a.params.angles, b.params.angles)
         assert a.J_final == b.J_final
         assert a.seeds == b.seeds
-    with pytest.raises(ValueError):
-        cascade_optimize([4, 2], cfg, FAST)
+    for N_list in ([4, 2], [2, 2]):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            cascade_optimize(N_list, cfg, FAST)
 
 
 @pytest.mark.slow
@@ -338,22 +327,21 @@ def test_cascade_generalizes_to_fresh_ensemble():
 
 def test_solution_store_round_trip(tmp_path):
     cfg = replace(QS, seed=51)
-    store = SolutionStore(tmp_path, kind=cfg.kind)
-    results = cascade_optimize([2], cfg, FAST, store=store)
-    path = store.path_for(2)
+    results = cascade_optimize([2], cfg, FAST, out=tmp_path)
+    path = tmp_path / "solution_quasistatic_N002.json"
     assert path.exists()
+    assert write_solution(tmp_path, results[0]) == path
     doc = json.loads(path.read_text())
     assert doc["N"] == 2
     assert doc["seeds"]["root_seed"] == 51
-    reloaded = SolutionStore(tmp_path, kind=cfg.kind).get(2)
+    reloaded = SequenceParams(doc["N"], np.asarray(doc["angles"]))
     assert np.array_equal(reloaded.angles, results[0].params.angles)
 
 
 def test_solution_store_put_is_atomic(tmp_path, monkeypatch):
     cfg = replace(QS, seed=51)
-    store = SolutionStore(tmp_path, kind=cfg.kind)
-    (result,) = cascade_optimize([2], cfg, FAST, store=store)
-    path = store.path_for(2)
+    (result,) = cascade_optimize([2], cfg, FAST, out=tmp_path)
+    path = tmp_path / "solution_quasistatic_N002.json"
     before = path.read_bytes()
     assert before == json.dumps(result.to_dict(), indent=1, sort_keys=True).encode()
 
@@ -365,7 +353,7 @@ def test_solution_store_put_is_atomic(tmp_path, monkeypatch):
     moved = replace(result, params=SequenceParams(2, result.params.angles + 1.0))
     monkeypatch.setattr(type(path), "write_text", crash_midway)
     with pytest.raises(OSError):
-        store.put(moved)
+        write_solution(tmp_path, moved)
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
