@@ -23,7 +23,6 @@ from .noise_model import (
     NoiseConfig,
     NoiseRealization,
     TWO_LOCAL_CHANNELS,
-    calibrate_amplitude,
     estimate_local_fidelity,
     make_ensemble,
     sample_one_over_f,
@@ -32,6 +31,7 @@ from .noise_model import (
 from .sequence_engine import (
     EnsembleMetrics,
     SequenceParams,
+    calibrate_amplitude,
     ensemble_gates,
     ensemble_metrics,
     evaluate_solution,

@@ -27,9 +27,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .noise_model import NoiseConfig, calibrate_amplitude, is_int, make_ensemble
+from .noise_model import NoiseConfig, is_int, make_ensemble
 from .optimizer import OptimizerConfig, cascade_optimize, derived_seed
-from .sequence_engine import SequenceParams, evaluate_solution, target_gate, uncorrected_error
+from .sequence_engine import (
+    SequenceParams,
+    calibrate_amplitude,
+    evaluate_solution,
+    target_gate,
+    uncorrected_error,
+)
 from .weyl_geometry import (
     cartan_decompose,
     _kron_factor,

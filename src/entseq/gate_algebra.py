@@ -128,21 +128,3 @@ def trace_fidelity(U, O):
     """``|tr(O^dag U)|^2 / 16``; global-phase invariant, in [0, 1].  Batched."""
     tr = np.einsum("...ji,...ji->...", np.asarray(O).conj(), np.asarray(U))
     return (tr.real ** 2 + tr.imag ** 2) / 16.0
-
-
-def random_unitary(dim, rng):
-    """Haar-random unitary via QR of a complex Gaussian matrix."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
-def random_su2(rng):
-    u = random_unitary(2, rng)
-    return u / np.linalg.det(u) ** 0.5
-
-
-def random_local(rng):
-    """Haar-random element of SU(2) (x) SU(2)."""
-    return np.kron(random_su2(rng), random_su2(rng))

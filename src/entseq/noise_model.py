@@ -1,6 +1,6 @@
 """Noise generation: quasistatic Gaussian error coefficients, 1/f^alpha noise
-from superposed random-telegraph fluctuators, per-segment sampling, local
-Euler-angle perturbations, and amplitude calibration.
+from superposed random-telegraph fluctuators, per-segment sampling, and local
+Euler-angle perturbations with their Monte-Carlo fidelity estimate.
 
 A noise realization holds, for one sampled world:
 
@@ -23,12 +23,13 @@ independent of evaluation order and worker count.
 """
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.signal import welch
+from scipy.optimize import brentq
+
+from .gate_algebra import local_rotation, trace_fidelity
 
 QUASISTATIC = "quasistatic"
 ONE_OVER_F = "one_over_f"
@@ -107,13 +108,6 @@ class NoiseConfig:
             d["channels"] = tuple(tuple(c) for c in d["channels"])
         return cls(**d)
 
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), **kw)
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_dict(json.loads(s))
-
     def with_seed(self, seed):
         return replace(self, seed=int(seed))
 
@@ -154,8 +148,6 @@ def spectral_weight_exponent(config):
     Lorentzian tails steepen the fit, so the exponent is calibrated against
     the analytic spectrum instead.
     """
-    from scipy.optimize import brentq
-
     rates = fluctuator_rates(config)
     f = np.geomspace(config.nu_min, config.nu_max, 400)
     logf = np.log(f)
@@ -279,8 +271,6 @@ def estimate_local_fidelity(sigma_local, n_coeff_sets, n_angle_sets, rng,
     Angle sets are uniform in ``[-angle_range, angle_range]``; each of the six
     angles gets an independent Gaussian coefficient per coefficient set.
     """
-    from .gate_algebra import local_rotation
-
     if n_coeff_sets < 1 or n_angle_sets < 1:
         raise ValueError("sample counts must be >= 1")
     total = 0.0
@@ -289,71 +279,5 @@ def estimate_local_fidelity(sigma_local, n_coeff_sets, n_angle_sets, rng,
         R = local_rotation(ang)
         deltas = rng.normal(0.0, sigma_local, (n_coeff_sets, 6))
         Rp = local_rotation(ang[None, :] * (1.0 + deltas))
-        tr = np.einsum("ji,mji->m", R.conj(), Rp)
-        total += ((tr.real ** 2 + tr.imag ** 2) / 16.0).mean()
+        total += trace_fidelity(Rp, R).mean()
     return total / n_angle_sets
-
-
-def calibrate_amplitude(target_uncorrected_error, config, N, M,
-                        rel_tol=0.05, max_sigma=2.0):
-    """Bisect sigma_nonlocal until the identity-rotation (uncorrected) gate
-    error matches the target within ``rel_tol`` relative.
-
-    The same ensemble substreams are reused for every trial amplitude
-    (common random numbers), which makes the bisected function deterministic
-    and monotone.
-    """
-    from .sequence_engine import uncorrected_error
-
-    if target_uncorrected_error == 0:
-        return 0.0
-    if not 0 < target_uncorrected_error < 0.5:
-        raise ValueError("target uncorrected error must lie in (0, 0.5)")
-
-    def eps_at(sigma):
-        return uncorrected_error(replace(config, sigma_nonlocal=sigma), N, M)
-
-    lo, hi = 0.0, max(config.sigma_nonlocal, 0.05)
-    while eps_at(hi) < target_uncorrected_error:
-        hi *= 2.0
-        if hi > max_sigma:
-            raise RuntimeError(
-                f"calibration failed to bracket the target below sigma={max_sigma}"
-            )
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        eps = eps_at(mid)
-        if abs(eps - target_uncorrected_error) <= rel_tol * target_uncorrected_error:
-            return mid
-        if eps < target_uncorrected_error:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def sample_noise_trace(config, duration, sample_rate, rng):
-    """One summed, weighted fluctuator bank on a uniform time grid
-    (diagnostic helper for spectral checks)."""
-    t = np.arange(0.0, duration, 1.0 / sample_rate)
-    return t, config.sigma_nonlocal * telegraph_bank(config, t, rng)
-
-
-def fit_spectral_exponent(x, sample_rate, band, nperseg=32768, n_bins=24):
-    """Spectral exponent alpha_hat (S ~ 1/f^alpha_hat) of a sampled trace.
-
-    Welch periodogram, averaged within log-spaced frequency bins over
-    ``band = (f_lo, f_hi)``, then a log-log least-squares fit.  Log binning
-    keeps the fit from being dominated by the dense high-frequency points of
-    the linear Welch grid.
-    """
-    f, P = welch(x, fs=sample_rate, nperseg=min(nperseg, len(x)))
-    edges = np.geomspace(band[0], band[1], n_bins + 1)
-    fc, pc = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sel = (f >= lo) & (f < hi)
-        if sel.any():
-            fc.append(np.exp(np.log(f[sel]).mean()))
-            pc.append(P[sel].mean())
-    slope = np.polyfit(np.log(fc), np.log(pc), 1)[0]
-    return -slope

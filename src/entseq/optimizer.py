@@ -287,17 +287,17 @@ class Descent:
 
 def _lbfgs(obj, x0, config, d_weight=1.0):
     """One L-BFGS-B descent from x0."""
-    evals = {}
-    accepted = []
+    history = []
 
     def fun(x):
         J, g = obj.value_and_grad(x, d_weight)
-        evals[x.tobytes()] = J
+        if not history:
+            # L-BFGS-B evaluates its start point first
+            history.append(J)
         return J, g
 
-    def J_at(x):
-        J = evals.get(x.tobytes())
-        return obj.value(x, d_weight) if J is None else J
+    def accept(intermediate_result):
+        history.append(intermediate_result.fun)
 
     bounds = None
     if config.bounds is not None:
@@ -309,7 +309,7 @@ def _lbfgs(obj, x0, config, d_weight=1.0):
         jac=True,
         method="L-BFGS-B",
         bounds=bounds,
-        callback=lambda xk: accepted.append(J_at(xk)),
+        callback=accept,
         options={
             "ftol": config.tol_J,
             "gtol": config.tol_gradJ,
@@ -317,11 +317,9 @@ def _lbfgs(obj, x0, config, d_weight=1.0):
             "maxcor": config.history_size,
         },
     )
-    # L-BFGS-B evaluates its start point first.  After a line-search failure
-    # SciPy returns the last accepted x with the J of its last trial point,
-    # so J is read at x from the evaluations
-    history = [next(iter(evals.values()))] + accepted
-    return Descent(res.x, J_at(res.x), int(res.nit), res.message, history)
+    # res.x is the last accepted iterate (x0 if none was); after a
+    # line-search failure res.fun is the J of a later trial point instead
+    return Descent(res.x, history[-1], int(res.nit), res.message, history)
 
 
 def _polish(obj, x0, config, log, d_weight=1.0):
@@ -447,8 +445,9 @@ def cascade_optimize(N_list, noise_config, optimizer_config, out=None,
     cascade.
     """
     N_list = list(N_list)
-    if any(a >= b for a, b in zip(N_list, N_list[1:])):
-        raise ValueError("N_list must be strictly ascending")
+    if not (all(noise_model.is_int(N) and N >= 1 for N in N_list)
+            and all(a < b for a, b in zip(N_list, N_list[1:]))):
+        raise ValueError(f"N_list must be strictly ascending integers >= 1, got {N_list!r}")
     solved = {}
     results = []
     for N in N_list:

@@ -1,4 +1,5 @@
-"""Assembly of the sequence evolution operator and its error metrics.
+"""Assembly of the sequence evolution operator, its error metrics, and the
+calibration of the noise amplitude to a target uncorrected error.
 
 The modeled operation interleaves N controllable local rotations with N
 applications of a fixed weakly entangling two-qubit slice:
@@ -27,8 +28,9 @@ sequence would collapse to a local gate, making a perfect entangler
 unreachable.  The controlled-phase root stays entangling for every N >= 2.
 """
 
+from dataclasses import dataclass, replace
+
 import numpy as np
-from dataclasses import dataclass
 
 from .gate_algebra import expm_hermitian, local_rotation, pauli_stack, trace_fidelity
 from .weyl_geometry import pe_fidelity_many
@@ -173,3 +175,39 @@ def uncorrected_error(config, N, M, seed=None):
     """Mean gate error of the identity-rotation sequence (no correction)."""
     ensemble = noise_model.make_ensemble(config, N, M, seed=seed)
     return evaluate_solution(SequenceParams(N, np.zeros(6 * N)), ensemble).epsilon
+
+
+def calibrate_amplitude(target_uncorrected_error, config, N, M,
+                        rel_tol=0.05, max_sigma=2.0):
+    """Bisect sigma_nonlocal until the identity-rotation (uncorrected) gate
+    error matches the target within ``rel_tol`` relative.
+
+    The same ensemble substreams are reused for every trial amplitude
+    (common random numbers), which makes the bisected function deterministic
+    and monotone.
+    """
+    if target_uncorrected_error == 0:
+        return 0.0
+    if not 0 < target_uncorrected_error < 0.5:
+        raise ValueError("target uncorrected error must lie in (0, 0.5)")
+
+    def eps_at(sigma):
+        return uncorrected_error(replace(config, sigma_nonlocal=sigma), N, M)
+
+    lo, hi = 0.0, max(config.sigma_nonlocal, 0.05)
+    while eps_at(hi) < target_uncorrected_error:
+        hi *= 2.0
+        if hi > max_sigma:
+            raise RuntimeError(
+                f"calibration failed to bracket the target below sigma={max_sigma}"
+            )
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        eps = eps_at(mid)
+        if abs(eps - target_uncorrected_error) <= rel_tol * target_uncorrected_error:
+            return mid
+        if eps < target_uncorrected_error:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

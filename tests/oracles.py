@@ -1,15 +1,22 @@
-"""Independent reference computations used to derive expected test values.
+"""Test-only code: independent reference computations, random generators and
+spectral instruments.
 
-These deliberately take different computational routes than the package:
-invariants via the determinant-divided trace formulas (no fourth-root
-normalization), canonical gates via scipy's general expm (not the
+The reference computations deliberately take different computational routes
+than the package: invariants via the determinant-divided trace formulas (no
+fourth-root normalization), canonical gates via scipy's general expm (not the
 magic-basis diagonal form), and closed-form invariants from chamber
 coordinates.  Expected values frozen into the tests were produced by these
 functions.
+
+The Haar-random generators draw test gates, and ``sample_noise_trace`` with
+``fit_spectral_exponent`` measure the spectrum of the package's 1/f noise.
 """
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.signal import welch
+
+from entseq.noise_model import telegraph_bank
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -95,3 +102,47 @@ SQRT_SWAP = np.array(
     ],
     dtype=complex,
 )
+
+
+def random_unitary(dim, rng):
+    """Haar-random unitary via QR of a complex Gaussian matrix."""
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def random_su2(rng):
+    u = random_unitary(2, rng)
+    return u / np.linalg.det(u) ** 0.5
+
+
+def random_local(rng):
+    """Haar-random element of SU(2) (x) SU(2)."""
+    return np.kron(random_su2(rng), random_su2(rng))
+
+
+def sample_noise_trace(config, duration, sample_rate, rng):
+    """One summed, weighted fluctuator bank on a uniform time grid."""
+    t = np.arange(0.0, duration, 1.0 / sample_rate)
+    return t, config.sigma_nonlocal * telegraph_bank(config, t, rng)
+
+
+def fit_spectral_exponent(x, sample_rate, band, nperseg=32768, n_bins=24):
+    """Spectral exponent alpha_hat (S ~ 1/f^alpha_hat) of a sampled trace.
+
+    Welch periodogram, averaged within log-spaced frequency bins over
+    ``band = (f_lo, f_hi)``, then a log-log least-squares fit.  Log binning
+    keeps the fit from being dominated by the dense high-frequency points of
+    the linear Welch grid.
+    """
+    f, P = welch(x, fs=sample_rate, nperseg=min(nperseg, len(x)))
+    edges = np.geomspace(band[0], band[1], n_bins + 1)
+    fc, pc = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        sel = (f >= lo) & (f < hi)
+        if sel.any():
+            fc.append(np.exp(np.log(f[sel]).mean()))
+            pc.append(P[sel].mean())
+    slope = np.polyfit(np.log(fc), np.log(pc), 1)[0]
+    return -slope

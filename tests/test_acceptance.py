@@ -16,16 +16,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from entseq.gate_algebra import random_local, random_unitary
 from entseq.noise_model import (
     NoiseConfig,
     ONE_OVER_F,
     QUASISTATIC,
-    calibrate_amplitude,
     estimate_local_fidelity,
-    fit_spectral_exponent,
     make_ensemble,
-    sample_noise_trace,
 )
 from entseq.optimizer import (
     OptimizerConfig,
@@ -34,7 +30,7 @@ from entseq.optimizer import (
     TERM_TOL_J,
     cascade_optimize,
 )
-from entseq.sequence_engine import evaluate_solution, uncorrected_error
+from entseq.sequence_engine import calibrate_amplitude, evaluate_solution, uncorrected_error
 from entseq.weyl_geometry import (
     canonical_gate,
     cartan_decompose,
@@ -49,7 +45,15 @@ from entseq.weyl_geometry import (
     weyl_coordinates,
 )
 
-from oracles import CNOT, SQRT_SWAP, SWAP
+from oracles import (
+    CNOT,
+    SQRT_SWAP,
+    SWAP,
+    fit_spectral_exponent,
+    random_local,
+    random_unitary,
+    sample_noise_trace,
+)
 
 ROOT_SEED = 20260810
 ACCEPT_OPT = OptimizerConfig(ensemble_size=100, polish_rounds=6, n_kicks=24)

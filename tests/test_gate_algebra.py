@@ -10,10 +10,10 @@ from entseq.gate_algebra import (
     local_rotation,
     local_rotation_grad,
     pauli_product,
-    random_local,
-    random_unitary,
     trace_fidelity,
 )
+
+from oracles import random_local, random_unitary
 
 
 def test_pauli_product_identity():

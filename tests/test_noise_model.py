@@ -1,6 +1,9 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
 from entseq.noise_model import (
     ALL_CHANNELS,
@@ -8,19 +11,25 @@ from entseq.noise_model import (
     ONE_OVER_F,
     QUASISTATIC,
     TWO_LOCAL_CHANNELS,
-    calibrate_amplitude,
     estimate_local_fidelity,
-    fit_spectral_exponent,
     fluctuator_rates,
     fluctuator_weights,
     make_ensemble,
-    sample_noise_trace,
     sample_one_over_f,
     sample_quasistatic,
     spectral_weight_exponent,
     telegraph_bank,
 )
-from entseq.sequence_engine import SequenceParams, ensemble_gates, ensemble_slices, target_gate
+from entseq.sequence_engine import (
+    SequenceParams,
+    calibrate_amplitude,
+    ensemble_gates,
+    ensemble_slices,
+    target_gate,
+    uncorrected_error,
+)
+
+from oracles import fit_spectral_exponent, sample_noise_trace
 
 QS = NoiseConfig(kind=QUASISTATIC, sigma_nonlocal=0.13, sigma_local=0.01, seed=1)
 OF = NoiseConfig(kind=ONE_OVER_F, sigma_nonlocal=0.2, sigma_local=0.006, seed=1)
@@ -51,9 +60,33 @@ def test_config_validation():
                 NoiseConfig(kind=kind, **bad)
 
 
-def test_config_json_round_trip():
-    s = OF.to_json()
-    assert NoiseConfig.from_json(s) == OF
+finite = st.floats(allow_nan=False, allow_infinity=False)
+non_negative = st.floats(min_value=0.0, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def noise_configs(draw):
+    nu_min, nu_max = draw(st.tuples(positive, positive).filter(lambda nu: nu[0] < nu[1]))
+    channels = draw(st.lists(st.sampled_from(ALL_CHANNELS), min_size=1, max_size=15))
+    return NoiseConfig(
+        kind=draw(st.sampled_from((QUASISTATIC, ONE_OVER_F))),
+        sigma_nonlocal=draw(non_negative),
+        sigma_local=draw(non_negative),
+        alpha=draw(finite),
+        gate_time_T=draw(positive),
+        n_fluctuators=draw(st.integers(1, 10**6)),
+        nu_min=nu_min,
+        nu_max=nu_max,
+        channels=tuple(channels),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+@settings(deadline=None)
+@given(noise_configs())
+def test_config_dict_json_round_trip(cfg):
+    assert NoiseConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 def test_config_from_dict_default_channels():
@@ -264,8 +297,6 @@ def test_calibrate_amplitude():
     cfg = replace(QS, sigma_local=0.0, seed=21)
     assert calibrate_amplitude(0.0, cfg, 4, 50) == 0.0
     sigma = calibrate_amplitude(0.10, cfg, 4, 200)
-    from entseq.sequence_engine import uncorrected_error
-
     eps = uncorrected_error(replace(cfg, sigma_nonlocal=sigma), 4, 200)
     assert abs(eps - 0.10) <= 0.005
     sig_lo = calibrate_amplitude(0.05, cfg, 4, 100)

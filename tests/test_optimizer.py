@@ -1,11 +1,12 @@
 import json
 from pathlib import Path
 
-import numpy as np
-import pytest
 from dataclasses import replace
 
+import numpy as np
+import pytest
 import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
 from entseq import optimizer
 from entseq.noise_model import NoiseConfig, ONE_OVER_F, make_ensemble
@@ -24,7 +25,7 @@ from entseq.optimizer import (
     relative_decrease,
     write_solution,
 )
-from entseq.sequence_engine import SequenceParams, gate_error
+from entseq.sequence_engine import SequenceParams, evaluate_solution, gate_error
 from entseq.weyl_geometry import pe_functional_many
 
 QS = NoiseConfig(seed=11)
@@ -148,6 +149,32 @@ def test_config_validation(bad):
     with pytest.raises(ValueError):
         OptimizerConfig(**bad)
     OptimizerConfig(n_kicks=0, bounds=(-1.0, 1.0))  # edge values that are fine
+
+
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def optimizer_configs(draw):
+    bounds = draw(st.none() | st.tuples(finite, finite).filter(lambda b: b[0] < b[1]))
+    return OptimizerConfig(
+        ensemble_size=draw(st.integers(1, 10**6)),
+        tol_J=draw(positive),
+        tol_gradJ=draw(positive),
+        max_iterations=draw(st.integers(1, 10**6)),
+        history_size=draw(st.integers(1, 1000)),
+        bounds=bounds,
+        polish_rounds=draw(st.integers(1, 100)),
+        n_kicks=draw(st.integers(0, 1000)),
+        kick_scales=tuple(draw(st.lists(positive, min_size=1, max_size=5))),
+    )
+
+
+@settings(deadline=None)
+@given(optimizer_configs())
+def test_config_dict_json_round_trip(config):
+    assert OptimizerConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
 
 def test_config_from_dict_drops_legacy_fd_step():
@@ -307,7 +334,7 @@ def test_cascade_reproducible_and_descending():
         assert np.array_equal(a.params.angles, b.params.angles)
         assert a.J_final == b.J_final
         assert a.seeds == b.seeds
-    for N_list in ([4, 2], [2, 2]):
+    for N_list in ([4, 2], [2, 2], [0, 1], [1.5], [2, 4.0]):
         with pytest.raises(ValueError, match="strictly ascending"):
             cascade_optimize(N_list, cfg, FAST)
 
@@ -317,15 +344,13 @@ def test_cascade_generalizes_to_fresh_ensemble():
     cfg = replace(QS, seed=41)
     config = OptimizerConfig(ensemble_size=100, polish_rounds=3, n_kicks=4)
     (result,) = cascade_optimize([4], cfg, config)
-    from entseq.sequence_engine import evaluate_solution
-
     fresh = make_ensemble(cfg, 4, 100, seed=999_999)
     eps_fresh = evaluate_solution(result.params, fresh).epsilon
     eps_train = result.final_metrics.epsilon
     assert abs(eps_fresh - eps_train) / eps_train < 0.5
 
 
-def test_solution_store_round_trip(tmp_path):
+def test_write_solution_round_trip(tmp_path):
     cfg = replace(QS, seed=51)
     results = cascade_optimize([2], cfg, FAST, out=tmp_path)
     path = tmp_path / "solution_quasistatic_N002.json"
@@ -338,7 +363,7 @@ def test_solution_store_round_trip(tmp_path):
     assert np.array_equal(reloaded.angles, results[0].params.angles)
 
 
-def test_solution_store_put_is_atomic(tmp_path, monkeypatch):
+def test_write_solution_is_atomic(tmp_path, monkeypatch):
     cfg = replace(QS, seed=51)
     (result,) = cascade_optimize([2], cfg, FAST, out=tmp_path)
     path = tmp_path / "solution_quasistatic_N002.json"

@@ -23,7 +23,7 @@ from entseq.sequence_engine import (
     zz_phase_slice,
 )
 
-from oracles import sequence_gate_expm
+from oracles import random_unitary, sequence_gate_expm
 
 QS = NoiseConfig(seed=5)
 
@@ -146,8 +146,6 @@ def test_ensemble_slices_rejects_mixed_ensembles():
 
 def test_gate_error_trivials():
     rng = np.random.default_rng(3)
-    from entseq.gate_algebra import random_unitary
-
     U = random_unitary(4, rng)
     assert gate_error(U, U) == pytest.approx(0.0, abs=1e-12)
     assert gate_error(np.eye(4), pauli_product((3, 0))) == pytest.approx(1.0)

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from entseq.gate_algebra import (
-    expm_hermitian,
-    local_rotation,
-    random_local,
-    random_unitary,
-)
+from entseq.gate_algebra import expm_hermitian, local_rotation
 from entseq.weyl_geometry import (
     CartanDecompositionError,
     canonical_gate,
@@ -25,7 +20,15 @@ from entseq.weyl_geometry import (
     weyl_coordinates_many,
 )
 
-from oracles import CNOT, SQRT_SWAP, SWAP, canonical_gate_expm, invariants_det_form
+from oracles import (
+    CNOT,
+    SQRT_SWAP,
+    SWAP,
+    canonical_gate_expm,
+    invariants_det_form,
+    random_local,
+    random_unitary,
+)
 
 COS2_PI_8 = np.cos(np.pi / 8) ** 2
 B_GATE = canonical_gate(np.pi / 2, np.pi / 4, 0.0)
