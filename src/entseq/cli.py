@@ -57,6 +57,13 @@ def _fmt(v):
     return repr(float(v))
 
 
+def _object(doc, what):
+    """``doc`` if it is a JSON object; a configuration error otherwise."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def load_spec(path):
     try:
         doc = json.loads(Path(path).read_text())
@@ -64,6 +71,7 @@ def load_spec(path):
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    doc = _object(doc, f"config file {path}")
     if doc.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ConfigError("unsupported experiment schema version")
     return doc
@@ -93,7 +101,10 @@ def optimizer_from_spec(doc):
 def load_solution(path):
     try:
         doc = json.loads(Path(path).read_text())
-        params = SequenceParams(int(doc["N"]), np.asarray(doc["angles"], dtype=float))
+        N = _object(doc, f"solution file {path}")["N"]
+        if not is_int(N):
+            raise ValueError(f"N must be an integer, got {N!r}")
+        params = SequenceParams(N, np.asarray(doc["angles"], dtype=float))
     except FileNotFoundError as exc:
         raise ConfigError(f"solution file not found: {path}") from exc
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
@@ -157,7 +168,7 @@ def cmd_contour(args):
     doc = load_spec(args.config)
     noise = noise_from_spec(doc, args.seed)
     params, _ = load_solution(args.solution)
-    grid = doc.get("grid", {})
+    grid = _object(doc.get("grid", {}), "grid")
     sig_loc = _grid_axis(grid, "sigma_local", (1e-3, 0.1, 5))
     sig_nl = _grid_axis(grid, "sigma_nonlocal", (1e-2, 0.4, 5))
     M = _count(grid, "M", 100)
@@ -202,9 +213,15 @@ def cmd_evaluate(args):
         noise = noise_from_spec(doc, args.seed)
         M = _count(doc, "M", 100)
     else:
-        noise = noise_from_spec(_stored(sol_doc, "config"), args.seed)
-        M = _count(_stored(sol_doc, "config", "optimizer"), "ensemble_size", None)
-    seed = _stored(sol_doc, "seeds", "ensemble_seed") if args.stored_seeds else noise.seed
+        noise = noise_from_spec(_object(_stored(sol_doc, "config"), "solution config"),
+                                args.seed)
+        M = _count(_object(_stored(sol_doc, "config", "optimizer"), "solution config.optimizer"),
+                   "ensemble_size", None)
+    seed = noise.seed
+    if args.stored_seeds:
+        seed = _stored(sol_doc, "seeds", "ensemble_seed")
+        if not (is_int(seed) and seed >= 0):
+            raise ConfigError(f"seeds.ensemble_seed must be an integer >= 0, got {seed!r}")
     ensemble = make_ensemble(noise, params.N, M, seed=seed)
     metrics = evaluate_solution(params, ensemble)
     payload = {
@@ -270,9 +287,10 @@ def cmd_decompose(args):
 def cmd_calibrate(args):
     doc = load_spec(args.config) if args.config else {}
     noise = noise_from_spec(doc, args.seed)
-    target = args.target if args.target is not None else float(doc.get("target_error", 0.1))
-    if not 0 < target < 0.5:
-        raise ConfigError("target error must lie in (0, 0.5)")
+    target = args.target if args.target is not None else doc.get("target_error", 0.1)
+    if not (isinstance(target, (int, float)) and not isinstance(target, bool)
+            and 0 < target < 0.5):
+        raise ConfigError(f"target error must be a number in (0, 0.5), got {target!r}")
     N = _count(doc, "N", 4)
     M = _count(doc, "M", 200)
     try:

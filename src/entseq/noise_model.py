@@ -24,7 +24,7 @@ independent of evaluation order and worker count.
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -86,16 +86,8 @@ class NoiseConfig:
     def to_dict(self):
         return {
             "schema_version": SCHEMA_VERSION,
-            "kind": self.kind,
-            "sigma_nonlocal": self.sigma_nonlocal,
-            "sigma_local": self.sigma_local,
-            "alpha": self.alpha,
-            "gate_time_T": self.gate_time_T,
-            "n_fluctuators": self.n_fluctuators,
-            "nu_min": self.nu_min,
-            "nu_max": self.nu_max,
+            **asdict(self),
             "channels": [list(c) for c in self.channels],
-            "seed": self.seed,
         }
 
     @classmethod
@@ -104,8 +96,6 @@ class NoiseConfig:
         version = d.pop("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported NoiseConfig schema version {version}")
-        if "channels" in d:
-            d["channels"] = tuple(tuple(c) for c in d["channels"])
         return cls(**d)
 
     def with_seed(self, seed):

@@ -13,12 +13,11 @@ function; it is resampled between lengths.
 Every value is computed from one evaluation of the sequence kernel
 ``sequence_engine.ensemble_gates``, which gives the noisy gates U_m and the
 noise-free target O; J and the reported metrics are pure functions of
-(U, O).  Minimization uses SciPy's L-BFGS-B with the exact gradient of J,
-computed here by one reverse pass over the kernel's chain: the cotangents of
-J with respect to U and O (O being the chain's last member) are propagated
-through prefix/suffix products of the segment operators and contracted with
-the closed-form derivatives of the Euler rotations, so a gradient costs a
-few evaluations of J, whatever N.
+(U, O).  This module holds J, its cotangents with respect to U and O, and
+the search.  Minimization uses SciPy's L-BFGS-B with the exact gradient of
+J: the kernel's reverse pass (``sequence_engine.ensemble_gates_vjp``) pulls
+the cotangents back through the same chain to the angles, so a gradient
+costs a few evaluations of J, whatever N.
 The termination conditions map one-to-one onto L-BFGS-B's ``ftol``
 (relative J decrease with the max{|J_k|, |J_k+1|, 1} denominator) and
 ``pgtol`` (projected-gradient max-norm).
@@ -40,7 +39,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,12 +49,11 @@ from . import noise_model
 from .sequence_engine import (
     SequenceParams,
     ensemble_gates,
+    ensemble_gates_vjp,
     ensemble_metrics,
     ensemble_slices,
     gate_error,
-    segment_operators,
 )
-from .gate_algebra import local_rotation_grad
 from .weyl_geometry import pe_functional_grad, pe_functional_many
 
 TERM_TOL_J = "tol_J"
@@ -88,6 +86,9 @@ class OptimizerConfig:
     kick_scales: tuple = (0.02, 0.05, 0.15)
 
     def __post_init__(self):
+        self.kick_scales = tuple(self.kick_scales)
+        if self.bounds is not None:
+            self.bounds = tuple(self.bounds)
         if not (_finite_positive(self.tol_J) and _finite_positive(self.tol_gradJ)):
             raise ValueError("tol_J and tol_gradJ must be finite and positive")
         counts = (self.ensemble_size, self.history_size, self.max_iterations,
@@ -108,28 +109,17 @@ class OptimizerConfig:
                 raise ValueError("bounds must be finite with lo < hi")
 
     def to_dict(self):
-        d = {
-            "ensemble_size": self.ensemble_size,
-            "tol_J": self.tol_J,
-            "tol_gradJ": self.tol_gradJ,
-            "max_iterations": self.max_iterations,
-            "history_size": self.history_size,
+        return {
+            **asdict(self),
             "bounds": list(self.bounds) if self.bounds is not None else None,
-            "polish_rounds": self.polish_rounds,
-            "n_kicks": self.n_kicks,
             "kick_scales": list(self.kick_scales),
         }
-        return d
 
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
         # configs written before the gradient was exact carry a step size
         d.pop("fd_step", None)
-        if d.get("bounds") is not None:
-            d["bounds"] = tuple(d["bounds"])
-        if "kick_scales" in d:
-            d["kick_scales"] = tuple(d["kick_scales"])
         return cls(**d)
 
 
@@ -185,35 +175,12 @@ def objective_cotangents(U, O, d_weight=1.0):
     return G_U, G_O
 
 
-def _partial_products(T):
-    """Prefix and suffix products of segment operators ``T`` ``(..., N, 4, 4)``:
-    ``prefix[k] = T_(N-1) ... T_(k+1)`` and ``suffix[k] = T_(k-1) ... T_0``,
-    each ``(N, ..., 4, 4)``, and the full product in ``chain_product``'s
-    order (so bit-identical to it)."""
-    N = T.shape[-3]
-    eye = np.broadcast_to(np.eye(4, dtype=complex), T.shape[:-3] + (4, 4))
-    prefix = np.empty((N,) + eye.shape, dtype=complex)
-    suffix = np.empty_like(prefix)
-    acc = eye
-    for k in range(N - 1, -1, -1):
-        prefix[k] = acc
-        acc = acc @ T[..., k, :, :]
-    full = acc
-    acc = eye
-    for k in range(N):
-        suffix[k] = acc
-        acc = T[..., k, :, :] @ acc
-    return prefix, suffix, full
-
-
 class SequenceObjective:
     """J and its exact gradient on a frozen noise ensemble."""
 
     def __init__(self, N, ensemble):
         self.N = N
         self.slices, self.delta_eta = ensemble_slices(ensemble)
-        # segment-major, to line up with the partial products
-        self._ZD = np.ascontiguousarray(np.swapaxes(self.slices, 0, 1))
 
     def gates(self, x):
         """(U, O) at x: the kernel on this objective's ensemble."""
@@ -230,29 +197,11 @@ class SequenceObjective:
         return ensemble_metrics(*self.gates(x))
 
     def value_and_grad(self, x, d_weight=1.0):
-        """J at x (bit-identical to :meth:`value`) and its exact gradient by
-        one reverse pass.
-
-        Member m of the kernel's chain (the target O being the last, noise-free
-        one) is ``P_k F_mk R(p_mk) S_k`` with ``P``/``S`` the prefix/suffix
-        products, ``F_mk = Z D_mk`` and ``p_mk = x_k (1 + delta_eta_mk)``, so
-        with the cotangents ``G_m`` of :func:`objective_cotangents`
-        ``dJ/dx_ks = sum_m Re tr(S_k G_m P_k F_mk dR_s(p_mk)) (1 + delta_eta_mks)``.
-        """
-        x = np.asarray(x, dtype=float)
-        one_plus_de = 1.0 + self.delta_eta
-        perturbed = x.reshape(1, self.N, 6) * one_plus_de
-        prefix, suffix, chain = _partial_products(segment_operators(perturbed, self.slices))
-        U, O = chain[:-1], chain[-1]
+        """J at x (bit-identical to :meth:`value`) and its exact gradient, the
+        kernel's pullback of J's cotangents."""
+        U, O, pullback = ensemble_gates_vjp(x, self.slices, self.delta_eta)
         J = objective_value(U, O, d_weight)
-
-        G_U, G_O = objective_cotangents(U, O, d_weight)
-        G = np.concatenate([G_U, G_O[None]])
-        W = np.swapaxes(suffix @ G @ prefix @ self._ZD, 0, 1)
-        g = local_rotation_grad(perturbed, W)
-        # the target's factor 1 + delta_eta is exactly 1
-        grad = (g[:-1] * one_plus_de[:-1]).sum(axis=0) + g[-1]
-        return J, grad.ravel()
+        return J, pullback(*objective_cotangents(U, O, d_weight))
 
 
 def relative_decrease(J_prev, J_next):
@@ -441,8 +390,9 @@ def cascade_optimize(N_list, noise_config, optimizer_config, out=None,
     Each length gets a fresh ensemble whose seed is derived from the noise
     config's seed and N; all seeds are recorded in the results.  With an
     ``out`` directory each result is written there as soon as it is solved.
-    Per-length failures are reported and skipped without aborting the
-    cascade.
+    A length whose linear algebra fails (``numpy.linalg.LinAlgError``) is
+    reported and skipped without aborting the cascade; any other exception
+    propagates.
     """
     N_list = list(N_list)
     if not (all(noise_model.is_int(N) and N >= 1 for N in N_list)
@@ -487,7 +437,7 @@ def cascade_optimize(N_list, noise_config, optimizer_config, out=None,
                 },
                 epsilon_uncorrected=obj.metrics(np.zeros(6 * N)).epsilon,
             )
-        except Exception as exc:  # noqa: BLE001 - cascade must continue
+        except np.linalg.LinAlgError as exc:
             if progress is not None:
                 progress(f"N={N}: FAILED ({exc})")
             continue

@@ -10,14 +10,16 @@ where ``Z_N`` is the entangling slice, ``D_n = exp(-i Delta_n / N)`` carries
 the noise of segment n, and ``R_n`` is the segment's local rotation.  The
 noise-free target O is the same chain with ``D_n = 1`` and no angle noise.
 
-Everything the package reports about a sequence comes from one kernel,
-``ensemble_gates(angles, factors, delta_eta) -> (U, O)``.  ``ensemble_slices``
-lays out a frozen ensemble once: the fixed factors ``F_mn = Z_N D_mn`` and
-the local-angle perturbations of every member, with the target appended as
-the last, noise-free member (``F = Z_N``, ``delta_eta = 0``).  The kernel
-runs one chain over all members and splits off O.  The metrics are pure
-functions of (U, O) (``ensemble_metrics`` here, the objective J in
-``optimizer``).
+Everything the package reports about a sequence comes from one chain of
+segment operators ``F_mn R_n``, multiplied out in one loop.
+``ensemble_slices`` lays out a frozen ensemble once: the fixed factors
+``F_mn = Z_N D_mn`` and the local-angle perturbations of every member, with
+the target appended as the last, noise-free member (``F = Z_N``,
+``delta_eta = 0``).  ``ensemble_gates`` runs the chain over all members and
+returns (U, O), ``target_gate`` runs it on one noise-free member, and
+``ensemble_gates_vjp`` adds the reverse pass over the same chain.  The
+metrics are pure functions of (U, O) (``ensemble_metrics`` here, J and its
+cotangents in ``optimizer``).
 
 Entangling-slice convention: ``Z_N`` is the principal Nth root of the 2*pi
 phase gate, ``diag(1, 1, 1, exp(2j*pi/N))``, i.e. slicing the identity into N
@@ -32,7 +34,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gate_algebra import expm_hermitian, local_rotation, pauli_stack, trace_fidelity
+from .gate_algebra import (
+    expm_hermitian,
+    local_rotation,
+    local_rotation_grad,
+    pauli_stack,
+    trace_fidelity,
+)
 from .weyl_geometry import pe_fidelity_many
 from . import noise_model
 
@@ -84,28 +92,6 @@ def zz_phase_slice(N):
     return np.diag(np.exp(2j * np.pi / N * np.array([0.0, 0.0, 0.0, 1.0])))
 
 
-def chain_product(mats):
-    """Ordered product ``mats[..., N-1] @ ... @ mats[..., 0]`` over the
-    second-to-last axis (segment 1 = index 0 acts first)."""
-    N = mats.shape[-3]
-    out = mats[..., N - 1, :, :]
-    for n in range(N - 2, -1, -1):
-        out = out @ mats[..., n, :, :]
-    return out
-
-
-def segment_operators(angles, factors):
-    """Segment operators ``F_n R_n`` from rotation angles ``(..., N, 6)`` and
-    fixed factors ``F`` ``(..., N, 4, 4)`` (see ``ensemble_slices``)."""
-    return np.einsum("...nac,...ncd->...nad", factors, local_rotation(angles))
-
-
-def target_gate(params):
-    """Noise-free target: product of slice * rotation over all segments."""
-    Z = np.broadcast_to(zz_phase_slice(params.N), (params.N, 4, 4))
-    return chain_product(segment_operators(params.angles.reshape(params.N, 6), Z))
-
-
 def ensemble_slices(ensemble):
     """Lay out an ensemble for the kernel: the fixed factors
     ``F_mn = Z_N D_mn`` ``(M + 1, N, 4, 4)`` and the angle perturbations
@@ -136,6 +122,25 @@ def ensemble_slices(ensemble):
     return factors, delta_eta
 
 
+def _chain(angles, factors, delta_eta):
+    """The chain over a layout from ``ensemble_slices``: the perturbed angles
+    ``p_mn = x_n (1 + delta_eta_mn)`` ``(M + 1, N, 6)``, the segment operators
+    ``T_mn = F_mn R(p_mn)`` ``(M + 1, N, 4, 4)``, the prefix products
+    ``prefix[k] = T_(N-1) ... T_(k+1)`` ``(N, M + 1, 4, 4)`` and the chain
+    ``T_(N-1) ... T_0`` ``(M + 1, 4, 4)`` (segment 1 = index 0 acts first)."""
+    params = SequenceParams(factors.shape[1], angles)
+    N = params.N
+    perturbed = params.angles.reshape(1, N, 6) * (1.0 + delta_eta)
+    T = np.einsum("...nac,...ncd->...nad", factors, local_rotation(perturbed))
+    prefix = np.empty((N,) + T.shape[:-3] + (4, 4), dtype=complex)
+    prefix[N - 1] = np.eye(4)
+    chain = T[..., N - 1, :, :]
+    for k in range(N - 2, -1, -1):
+        prefix[k] = chain
+        chain = chain @ T[..., k, :, :]
+    return perturbed, T, prefix, chain
+
+
 def ensemble_gates(angles, factors, delta_eta):
     """The evaluation kernel: one chain over the ensemble laid out by
     ``ensemble_slices``, returning the noisy gates ``U`` ``(M, 4, 4)`` and the
@@ -144,10 +149,45 @@ def ensemble_gates(angles, factors, delta_eta):
     The target's ``delta_eta`` is zero, so O uses the *unperturbed* angles;
     local noise enters only U.
     """
-    params = SequenceParams(factors.shape[1], angles)
-    perturbed = params.angles.reshape(1, params.N, 6) * (1.0 + delta_eta)
-    chain = chain_product(segment_operators(perturbed, factors))
+    chain = _chain(angles, factors, delta_eta)[3]
     return chain[:-1], chain[-1]
+
+
+def ensemble_gates_vjp(angles, factors, delta_eta):
+    """``(U, O)`` as :func:`ensemble_gates`, and ``pullback(G_U, G_O)``, the
+    gradient by the 6N angles of ``sum_m Re tr(G_U[m] U_m) + Re tr(G_O O)``.
+
+    Member m of the chain (the target O being the last) is
+    ``P_k F_mk R(p_mk) S_k`` with the prefix products ``P_k = T_(N-1) ... T_(k+1)``,
+    the suffix products ``S_k = T_(k-1) ... T_0`` and
+    ``p_mk = x_k (1 + delta_eta_mk)``, so with ``G_m`` its cotangent the
+    derivative by ``x_ks`` is
+    ``sum_m Re tr(S_k G_m P_k F_mk dR_s(p_mk)) (1 + delta_eta_mks)``.
+    """
+    perturbed, T, prefix, chain = _chain(angles, factors, delta_eta)
+    # the suffix products now, while T is still in cache
+    suffix = np.empty_like(prefix)
+    suffix[0] = np.eye(4)
+    for k in range(1, len(suffix)):
+        suffix[k] = T[..., k - 1, :, :] @ suffix[k - 1]
+
+    def pullback(G_U, G_O):
+        G = np.concatenate([G_U, G_O[None]])
+        # segment-major, like the partial products
+        W = suffix @ G @ prefix @ np.swapaxes(factors, 0, 1)
+        g = local_rotation_grad(perturbed, np.swapaxes(W, 0, 1))
+        one_plus_de = 1.0 + delta_eta
+        # the target's factor 1 + delta_eta is exactly 1
+        return ((g[:-1] * one_plus_de[:-1]).sum(axis=0) + g[-1]).ravel()
+
+    return chain[:-1], chain[-1], pullback
+
+
+def target_gate(params):
+    """Noise-free target: the kernel on a one-member layout, ``F = Z_N`` and
+    no angle noise."""
+    Z = np.broadcast_to(zz_phase_slice(params.N), (1, params.N, 4, 4))
+    return ensemble_gates(params.angles, Z, np.zeros((1, params.N, 6)))[1]
 
 
 def gate_error(U, O):

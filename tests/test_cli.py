@@ -2,6 +2,7 @@ import json
 import numpy as np
 import pytest
 
+from entseq import noise_model
 from entseq.cli import main
 from entseq.noise_model import NoiseConfig
 from entseq.optimizer import OptimizerConfig
@@ -296,6 +297,33 @@ def test_config_errors_exit_1(tmp_path, capsys):
         assert run(["contour", "--config", cfg, "--solution", str(sol), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")
     assert not (out / "contour.csv").exists()
+    # malformed documents: an error line, not a traceback
+    array_cfg = write_spec(tmp_path, [1, 2], "array.json")
+    bad_grid = write_spec(tmp_path, {**grid_spec, "grid": [1]}, "list_grid.json")
+    stored = {"N": 1, "angles": [0.0] * 6,
+              "config": {"noise": NoiseConfig().to_dict(),
+                         "optimizer": OptimizerConfig(ensemble_size=2).to_dict()}}
+    solutions = {name: write_spec(tmp_path, doc, f"sol_{name}.json") for name, doc in [
+        ("seed_neg", {**stored, "seeds": {"ensemble_seed": -4}}),
+        ("seed_str", {**stored, "seeds": {"ensemble_seed": "x"}}),
+        ("config_list", {**stored, "config": [1, 2]}),
+        ("top_list", [stored]),
+        ("N_float", {**stored, "N": 1.9}),
+        ("N_bool", {**stored, "N": True})]}
+    argvs = [["optimize", "--config", array_cfg, "--out", str(tmp_path / "o")],
+             ["contour", "--config", bad_grid, "--solution", str(sol), "--out", str(out)]]
+    for i, target in enumerate(["abc", None]):
+        cfg = write_spec(tmp_path, {**grid_spec, "target_error": target}, f"target_{i}.json")
+        argvs.append(["calibrate", "--config", cfg])
+    for name in ("seed_neg", "seed_str"):
+        argvs.append(["evaluate", "--solution", solutions[name], "--stored-seeds"])
+    argvs.append(["evaluate", "--solution", solutions["config_list"]])
+    for name in ("top_list", "N_float", "N_bool"):
+        argvs.append(["evaluate", "--solution", solutions[name]])
+        argvs.append(["decompose", "--solution", solutions[name]])
+    for argv in argvs:
+        assert run(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
 
 
 def test_threads_only_on_contour():
@@ -344,3 +372,33 @@ def test_optimize_ignores_stale_solutions_in_out(tmp_path):
     assert (stale / name).read_bytes() == (fresh / name).read_bytes()
     assert read_csv_without_walltime(stale / "optimize_summary.csv") == \
         read_csv_without_walltime(fresh / "optimize_summary.csv")
+
+
+def _make_ensemble_failing_at_N4(exc):
+    make_ensemble = noise_model.make_ensemble
+
+    def make(config, N, M, seed=None):
+        if N == 4:
+            raise exc
+        return make_ensemble(config, N, M, seed=seed)
+
+    return make
+
+
+def test_optimize_reports_only_numerical_failures(tmp_path, capsys, monkeypatch):
+    # a numerical failure at one length is reported and the cascade goes on
+    cfg = write_spec(tmp_path, small_spec(n_list=(2, 4)))
+    out = tmp_path / "out"
+    monkeypatch.setattr(noise_model, "make_ensemble", _make_ensemble_failing_at_N4(
+        np.linalg.LinAlgError("eigenvalues did not converge")))
+    assert run(["optimize", "--config", cfg, "--out", str(out)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("N=2: J=")
+    assert lines[1] == "N=4: FAILED (eigenvalues did not converge)"
+    assert (out / "solution_quasistatic_N002.json").exists()
+    assert not (out / "solution_quasistatic_N004.json").exists()
+    # a programming error is not a numerical failure
+    monkeypatch.setattr(noise_model, "make_ensemble",
+                        _make_ensemble_failing_at_N4(TypeError("not a numerical failure")))
+    with pytest.raises(TypeError):
+        run(["optimize", "--config", cfg, "--out", str(tmp_path / "o2")])

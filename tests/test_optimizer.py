@@ -177,6 +177,11 @@ def test_config_dict_json_round_trip(config):
     assert OptimizerConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
 
+def test_config_sequences_normalized_to_tuples():
+    assert OptimizerConfig(kick_scales=[0.02, 0.05, 0.15]) == OptimizerConfig()
+    assert OptimizerConfig(bounds=[-1.0, 1.0]) == OptimizerConfig(bounds=(-1.0, 1.0))
+
+
 def test_config_from_dict_drops_legacy_fd_step():
     # configs and solution files written with the forward-difference
     # gradient carry its step size

@@ -15,6 +15,7 @@ from entseq.noise_model import (
 from entseq.sequence_engine import (
     SequenceParams,
     ensemble_gates,
+    ensemble_gates_vjp,
     ensemble_slices,
     evaluate_solution,
     gate_error,
@@ -133,6 +134,32 @@ def test_kernel_matches_independent_product(kind):
             ref = sequence_gate_expm(params.angles, r.delta, r.channels, r.delta_eta)
             assert np.abs(Um - ref).max() <= 1e-12
         assert np.array_equal(O, target_gate(params))
+
+
+@pytest.mark.parametrize("kind", [QUASISTATIC, ONE_OVER_F])
+def test_vjp_matches_central_differences(kind):
+    # the pullback against central differences of
+    # sum_m Re tr(G_U[m] U_m) + Re tr(G_O O); with G_U = 0 only the target's
+    # term is left, which the gradient of J cannot separate
+    cfg = NoiseConfig(kind=kind, sigma_nonlocal=0.2, sigma_local=0.02,
+                      channels=ALL_CHANNELS, seed=13)
+    N, M = 3, 5
+    rng = np.random.default_rng(14)
+    x = rng.uniform(-np.pi, np.pi, 6 * N)
+    layout = ensemble_slices(make_ensemble(cfg, N, M))
+    U, O, pullback = ensemble_gates_vjp(x, *layout)
+    U_ref, O_ref = ensemble_gates(x, *layout)
+    assert np.array_equal(U, U_ref) and np.array_equal(O, O_ref)
+    G_O = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    G_U = rng.normal(size=(M, 4, 4)) + 1j * rng.normal(size=(M, 4, 4))
+    for G_U in (G_U, np.zeros_like(G_U)):
+        def f(y):
+            U, O = ensemble_gates(y, *layout)
+            return np.einsum("mij,mji->", G_U, U).real + np.einsum("ij,ji->", G_O, O).real
+
+        h = 1e-6
+        fd = np.array([(f(x + h * e) - f(x - h * e)) / (2 * h) for e in np.eye(6 * N)])
+        assert np.abs(pullback(G_U, G_O) - fd).max() <= 1e-7 * np.abs(fd).max()
 
 
 def test_ensemble_slices_rejects_mixed_ensembles():
