@@ -22,13 +22,15 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .noise_model import NoiseConfig, is_int, make_ensemble
-from .optimizer import OptimizerConfig, cascade_optimize, derived_seed
+from .noise_model import (ONE_OVER_F, NoiseConfig, fluctuator_weights, is_int, is_real,
+                          make_ensemble)
+from .optimizer import OptimizerConfig, ascending_lengths, cascade_optimize, derived_seed
 from .sequence_engine import (
     SequenceParams,
     calibrate_amplitude,
@@ -52,6 +54,15 @@ class ConfigError(Exception):
     pass
 
 
+@contextmanager
+def _refused(what):
+    """A record's TypeError or ValueError, its refusal of an input, as a configuration error."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
 def _fmt(v):
     """Deterministic shortest-roundtrip float formatting for CSV cells."""
     return repr(float(v))
@@ -64,71 +75,67 @@ def _object(doc, what):
     return doc
 
 
-def load_spec(path):
+def load_document(path, what):
+    """The JSON object in the file at ``path``, refused when it names another
+    schema version; ``what`` names the file in errors."""
     try:
         doc = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    doc = _object(doc, f"config file {path}")
-    if doc.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise ConfigError("unsupported experiment schema version")
+    except (OSError, ValueError) as exc:   # ValueError: not JSON, or not text
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    if _object(doc, f"{what} {path}").get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+        raise ConfigError(f"{what} {path} has an unsupported schema version")
     return doc
 
 
+def _write_report(payload, out, name):
+    """``payload`` as JSON text, also written to ``out/name`` when ``out`` is set."""
+    text = json.dumps(payload, indent=1, sort_keys=True)
+    if out:
+        Path(out).mkdir(parents=True, exist_ok=True)
+        Path(out, name).write_text(text)
+    return text
+
+
+def _record(cls, doc, key, **changes):
+    """Block ``key`` of ``doc`` (the defaults when absent) as a ``cls`` record with ``changes``."""
+    block = _object(doc.get(key, {}), f"{key} block")
+    with _refused(f"{key} config"):
+        return replace(cls.from_dict(block), **changes)
+
+
 def noise_from_spec(doc, seed_override=None):
-    try:
-        cfg = NoiseConfig.from_dict(doc.get("noise", {})) if doc.get("noise") else NoiseConfig()
-        if seed_override is not None:
-            cfg = cfg.with_seed(seed_override)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad noise config: {exc}") from exc
+    """The noise block of ``doc``; a 1/f band is fitted here, so that an alpha
+    it cannot reach is refused before anything runs."""
+    seed = {} if seed_override is None else {"seed": seed_override}
+    cfg = _record(NoiseConfig, doc, "noise", **seed)
+    if cfg.kind == ONE_OVER_F:
+        with _refused("noise config"):
+            fluctuator_weights(cfg)
     return cfg
 
 
-def optimizer_from_spec(doc):
-    try:
-        return (
-            OptimizerConfig.from_dict(doc["optimizer"])
-            if doc.get("optimizer")
-            else OptimizerConfig()
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad optimizer config: {exc}") from exc
-
-
 def load_solution(path):
-    try:
-        doc = json.loads(Path(path).read_text())
-        N = _object(doc, f"solution file {path}")["N"]
-        if not is_int(N):
-            raise ValueError(f"N must be an integer, got {N!r}")
-        params = SequenceParams(N, np.asarray(doc["angles"], dtype=float))
-    except FileNotFoundError as exc:
-        raise ConfigError(f"solution file not found: {path}") from exc
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"bad solution file {path}: {exc}") from exc
-    return params, doc
+    doc = load_document(path, "solution file")
+    with _refused(f"solution file {path}"):
+        return SequenceParams(_stored(doc, "N"), _stored(doc, "angles")), doc
 
 
 def cmd_optimize(args):
-    doc = load_spec(args.config)
+    doc = load_document(args.config, "config file")
     noise = noise_from_spec(doc, args.seed)
-    opt = optimizer_from_spec(doc)
+    opt = _record(OptimizerConfig, doc, "optimizer")
     n_list = doc.get("N_list")
     if not n_list:
         raise ConfigError("optimize requires N_list in the experiment config")
-    if not (isinstance(n_list, list) and all(is_int(N) and N >= 1 for N in n_list)
-            and len(set(n_list)) == len(n_list)):
-        raise ConfigError(f"N_list must be a list of distinct positive integers, got {n_list!r}")
+    with _refused("N_list"):
+        n_list = ascending_lengths(sorted(n_list))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     def progress(msg):
         print(msg, flush=True)
 
-    results = cascade_optimize(sorted(n_list), noise, opt, out=out, progress=progress)
+    results = cascade_optimize(n_list, noise, opt, out=out, progress=progress)
     csv_path = out / "optimize_summary.csv"
     with csv_path.open("w") as fh:
         fh.write("N,epsilon_uncorrected,epsilon_optimized,epsilon_pe,iterations,wall_time_s\n")
@@ -151,21 +158,18 @@ def _count(doc, key, default):
 
 def _grid_axis(grid, name, default):
     spec = grid.get(name)
-    try:
-        lo, hi, n = spec if spec is not None else default
-        ok = 0 < lo <= hi < np.inf and is_int(n) and n >= 1
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
+    axis = default if spec is None else spec
+    if not (isinstance(axis, (list, tuple)) and len(axis) == 3 and all(map(is_real, axis[:2]))
+            and is_int(axis[2]) and 0 < axis[0] <= axis[1] and axis[2] >= 1):
         raise ConfigError(
             f"grid.{name} must be [lo, hi, count] with 0 < lo <= hi and count >= 1, got {spec!r}")
-    return np.geomspace(lo, hi, n)
+    return np.geomspace(*axis)
 
 
 def cmd_contour(args):
     if args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
-    doc = load_spec(args.config)
+    doc = load_document(args.config, "config file")
     noise = noise_from_spec(doc, args.seed)
     params, _ = load_solution(args.solution)
     grid = _object(doc.get("grid", {}), "grid")
@@ -209,34 +213,25 @@ def _stored(sol_doc, *keys):
 def cmd_evaluate(args):
     params, sol_doc = load_solution(args.solution)
     if args.config:
-        doc = load_spec(args.config)
-        noise = noise_from_spec(doc, args.seed)
+        doc = load_document(args.config, "config file")
         M = _count(doc, "M", 100)
     else:
-        noise = noise_from_spec(_object(_stored(sol_doc, "config"), "solution config"),
-                                args.seed)
-        M = _count(_object(_stored(sol_doc, "config", "optimizer"), "solution config.optimizer"),
-                   "ensemble_size", None)
-    seed = noise.seed
+        doc = _object(_stored(sol_doc, "config"), "solution config")
+        M = _record(OptimizerConfig, doc, "optimizer").ensemble_size
+    noise = noise_from_spec(doc, args.seed)
+    sampled = noise
     if args.stored_seeds:
-        seed = _stored(sol_doc, "seeds", "ensemble_seed")
-        if not (is_int(seed) and seed >= 0):
-            raise ConfigError(f"seeds.ensemble_seed must be an integer >= 0, got {seed!r}")
-    ensemble = make_ensemble(noise, params.N, M, seed=seed)
-    metrics = evaluate_solution(params, ensemble)
+        with _refused("seeds.ensemble_seed"):
+            sampled = replace(noise, seed=_stored(sol_doc, "seeds", "ensemble_seed"))
+    metrics = evaluate_solution(params, make_ensemble(sampled, params.N, M))
     payload = {
         "N": params.N,
         "noise": noise.to_dict(),
         "M": M,
-        "ensemble_seed": seed,
+        "ensemble_seed": sampled.seed,
         **metrics.to_dict(),
     }
-    text = json.dumps(payload, indent=1, sort_keys=True)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "evaluation.json").write_text(text)
-    print(text)
+    print(_write_report(payload, args.out, "evaluation.json"))
     return 0
 
 
@@ -277,19 +272,15 @@ def cmd_decompose(args):
     print(f"k2 = {line2}")
     print(f"Makhlin invariants: g1={g[0]:+.6f} g2={g[1]:+.6f} g3={g[2]:+.6f}")
     print(f"F_PE = {report['pe_fidelity']:.9f}   D = {report['pe_functional_D']:.3e}")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "decomposition.json").write_text(json.dumps(report, indent=1, sort_keys=True))
+    _write_report(report, args.out, "decomposition.json")
     return 0
 
 
 def cmd_calibrate(args):
-    doc = load_spec(args.config) if args.config else {}
+    doc = load_document(args.config, "config file") if args.config else {}
     noise = noise_from_spec(doc, args.seed)
     target = args.target if args.target is not None else doc.get("target_error", 0.1)
-    if not (isinstance(target, (int, float)) and not isinstance(target, bool)
-            and 0 < target < 0.5):
+    if not (is_real(target) and 0 < target < 0.5):
         raise ConfigError(f"target error must be a number in (0, 0.5), got {target!r}")
     N = _count(doc, "N", 4)
     M = _count(doc, "M", 200)
@@ -309,12 +300,7 @@ def cmd_calibrate(args):
         "seed": noise.seed,
         "kind": noise.kind,
     }
-    text = json.dumps(payload, indent=1, sort_keys=True)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "calibration.json").write_text(text)
-    print(text)
+    print(_write_report(payload, args.out, "calibration.json"))
     return 0
 
 

@@ -23,8 +23,8 @@ independent of evaluation order and worker count.
 """
 
 import functools
-import math
-from dataclasses import asdict, dataclass, field, replace
+import sys
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
@@ -47,6 +47,13 @@ def is_int(v):
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def is_real(v):
+    """True for a Python or NumPy integer or float (bool excluded) that is finite
+    as a float: not NaN, not infinite, and no integer too large to convert."""
+    return (isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
 @dataclass
 class NoiseConfig:
     """Noise model parameters.  Rates are in units of 1/gate_time_T."""
@@ -65,23 +72,24 @@ class NoiseConfig:
     def __post_init__(self):
         if self.kind not in (QUASISTATIC, ONE_OVER_F):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not all(math.isfinite(v) and v >= 0 for v in (self.sigma_nonlocal, self.sigma_local)):
-            raise ValueError("noise amplitudes must be finite and >= 0")
-        if not (math.isfinite(self.gate_time_T) and self.gate_time_T > 0):
-            raise ValueError("gate_time_T must be finite and positive")
-        if not math.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
-        if not 0 < self.nu_min < self.nu_max < math.inf:
-            raise ValueError("need 0 < nu_min < nu_max, both finite")
+        if not all(is_real(v) and v >= 0 for v in (self.sigma_nonlocal, self.sigma_local)):
+            raise ValueError("noise amplitudes must be finite numbers >= 0")
+        if not (is_real(self.gate_time_T) and self.gate_time_T > 0):
+            raise ValueError("gate_time_T must be a finite positive number")
+        if not is_real(self.alpha):
+            raise ValueError("alpha must be a finite number")
+        if not (is_real(self.nu_min) and is_real(self.nu_max) and 0 < self.nu_min < self.nu_max):
+            raise ValueError("need finite numbers 0 < nu_min < nu_max")
         if not (is_int(self.n_fluctuators) and self.n_fluctuators >= 1):
             raise ValueError("n_fluctuators must be an integer >= 1")
         if not (is_int(self.seed) and self.seed >= 0):
             raise ValueError("seed must be an integer >= 0")
-        self.channels = tuple((int(i), int(j)) for i, j in self.channels)
+        pairs = [(i, j) for i, j in self.channels]
+        if not all(is_int(k) and 0 <= k <= 3 for pair in pairs for k in pair):
+            raise ValueError(f"channel indices must be integers in 0..3, got {pairs!r}")
+        self.channels = tuple((int(i), int(j)) for i, j in pairs)
         if not self.channels or (0, 0) in self.channels:
             raise ValueError("channels must be nonempty and exclude (0, 0)")
-        if not all(0 <= i <= 3 and 0 <= j <= 3 for i, j in self.channels):
-            raise ValueError("channel indices must lie in 0..3")
 
     def to_dict(self):
         return {
@@ -97,9 +105,6 @@ class NoiseConfig:
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported NoiseConfig schema version {version}")
         return cls(**d)
-
-    def with_seed(self, seed):
-        return replace(self, seed=int(seed))
 
 
 @dataclass
@@ -163,7 +168,11 @@ def _band_weights(alpha, nu_min, nu_max, n_fluctuators):
                          n_fluctuators=n_fluctuators)
     rates = fluctuator_rates(config)
     # a lone fluctuator has no spectral shape to fit: it carries all the variance
-    beta = spectral_weight_exponent(config) if n_fluctuators > 1 else 0.0
+    try:
+        beta = spectral_weight_exponent(config) if n_fluctuators > 1 else 0.0
+    except ValueError as exc:   # brentq: no weight exponent gives this slope
+        raise ValueError(f"alpha {alpha!r} is out of reach of {n_fluctuators} fluctuators "
+                         f"on the band [{nu_min!r}, {nu_max!r}]") from exc
     w = rates ** (0.5 * beta)
     w = w / np.sqrt((w ** 2).sum())
     w.flags.writeable = False

@@ -69,10 +69,6 @@ PE_J_MARGIN = 1.15
 PE_REPAIR_WEIGHTS = (4.0, 16.0, 64.0)
 
 
-def _finite_positive(v):
-    return math.isfinite(v) and v > 0
-
-
 @dataclass
 class OptimizerConfig:
     ensemble_size: int = 100
@@ -87,10 +83,8 @@ class OptimizerConfig:
 
     def __post_init__(self):
         self.kick_scales = tuple(self.kick_scales)
-        if self.bounds is not None:
-            self.bounds = tuple(self.bounds)
-        if not (_finite_positive(self.tol_J) and _finite_positive(self.tol_gradJ)):
-            raise ValueError("tol_J and tol_gradJ must be finite and positive")
+        if not all(noise_model.is_real(v) and v > 0 for v in (self.tol_J, self.tol_gradJ)):
+            raise ValueError("tol_J and tol_gradJ must be finite positive numbers")
         counts = (self.ensemble_size, self.history_size, self.max_iterations,
                   self.polish_rounds, self.n_kicks)
         if not all(noise_model.is_int(v) for v in counts):
@@ -101,12 +95,14 @@ class OptimizerConfig:
             )
         if self.n_kicks < 0:
             raise ValueError("n_kicks must be >= 0")
-        if not self.kick_scales or not all(_finite_positive(v) for v in self.kick_scales):
+        if not (self.kick_scales
+                and all(noise_model.is_real(v) and v > 0 for v in self.kick_scales)):
             raise ValueError("kick_scales must be nonempty, finite and positive")
         if self.bounds is not None:
+            self.bounds = tuple(self.bounds)
             lo, hi = self.bounds
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ValueError("bounds must be finite with lo < hi")
+            if not (all(map(noise_model.is_real, self.bounds)) and lo < hi):
+                raise ValueError("bounds must be finite numbers with lo < hi")
 
     def to_dict(self):
         return {
@@ -382,6 +378,15 @@ def derived_seed(root_seed, *key):
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def ascending_lengths(N_list):
+    """``N_list`` as a list; a ValueError unless it is strictly ascending integers >= 1."""
+    N_list = list(N_list)
+    if not (all(noise_model.is_int(N) and N >= 1 for N in N_list)
+            and all(a < b for a, b in zip(N_list, N_list[1:]))):
+        raise ValueError(f"N_list must be strictly ascending integers >= 1, got {N_list!r}")
+    return N_list
+
+
 def cascade_optimize(N_list, noise_config, optimizer_config, out=None,
                      progress=None):
     """Optimize each sequence length in ascending order, tiling earlier
@@ -394,10 +399,7 @@ def cascade_optimize(N_list, noise_config, optimizer_config, out=None,
     reported and skipped without aborting the cascade; any other exception
     propagates.
     """
-    N_list = list(N_list)
-    if not (all(noise_model.is_int(N) and N >= 1 for N in N_list)
-            and all(a < b for a, b in zip(N_list, N_list[1:]))):
-        raise ValueError(f"N_list must be strictly ascending integers >= 1, got {N_list!r}")
+    N_list = ascending_lengths(N_list)
     solved = {}
     results = []
     for N in N_list:

@@ -55,8 +55,8 @@ class SequenceParams:
 
     def __post_init__(self):
         self.angles = np.asarray(self.angles, dtype=float).ravel()
-        if self.N < 1:
-            raise ValueError("segment count must be >= 1")
+        if not (noise_model.is_int(self.N) and self.N >= 1):
+            raise ValueError(f"segment count must be an integer >= 1, got {self.N!r}")
         if self.angles.size != 6 * self.N:
             raise ValueError(
                 f"angle vector length {self.angles.size} != 6*N = {6 * self.N}"

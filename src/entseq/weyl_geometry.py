@@ -31,6 +31,14 @@ MAGIC = np.array(
 _MAGIC_DAG = MAGIC.conj().T
 
 
+def _unitary(U, name):
+    """``U`` as a complex array; a ValueError naming ``name`` unless it is unitary."""
+    U = np.asarray(U, dtype=complex)
+    if not is_unitary(U, 1e-9):
+        raise ValueError(f"{name} requires a unitary input")
+    return U
+
+
 def to_su4(U):
     """Divide by the principal fourth root of the determinant."""
     U = np.asarray(U, dtype=complex)
@@ -67,9 +75,7 @@ def makhlin_invariants_many(U):
 
 def makhlin_invariants(U):
     """Makhlin local invariants (g1, g2, g3) of a single two-qubit unitary."""
-    U = np.asarray(U, dtype=complex)
-    if not is_unitary(U, 1e-9):
-        raise ValueError("makhlin_invariants requires a unitary input")
+    U = _unitary(U, "makhlin_invariants")
     g1, g2, g3 = makhlin_invariants_many(U[None])
     return float(g1[0]), float(g2[0]), float(g3[0])
 
@@ -103,9 +109,7 @@ def weyl_coordinates_many(U):
 
 def weyl_coordinates(U):
     """Canonical Weyl-chamber coordinates (c1, c2, c3) of a single gate, radians."""
-    U = np.asarray(U, dtype=complex)
-    if not is_unitary(U, 1e-9):
-        raise ValueError("weyl_coordinates requires a unitary input")
+    U = _unitary(U, "weyl_coordinates")
     return weyl_coordinates_many(U[None])[0]
 
 
@@ -253,9 +257,7 @@ def pe_functional_D(U):
 
     ``d`` where ``d > 0 and s > 0``; ``-d`` where ``d < 0 and s < 0``; else 0.
     """
-    U = np.asarray(U, dtype=complex)
-    if not is_unitary(U, 1e-9):
-        raise ValueError("pe_functional_D requires a unitary input")
+    U = _unitary(U, "pe_functional_D")
     return float(pe_functional_many(U[None])[0])
 
 
@@ -281,9 +283,7 @@ def pe_fidelity_from_weyl(c):
 
 def pe_fidelity(U):
     """F_PE(U) in [0, 1]; equals 1 iff the gate lies in the PE polyhedron."""
-    U = np.asarray(U, dtype=complex)
-    if not is_unitary(U, 1e-9):
-        raise ValueError("pe_fidelity requires a unitary input")
+    U = _unitary(U, "pe_fidelity")
     return float(pe_fidelity_many(U[None])[0])
 
 
@@ -367,9 +367,7 @@ def cartan_decompose(U, tol=1e-8):
     canonical Weyl coordinates.  Raises :class:`CartanDecompositionError` if
     the reconstruction residual exceeds ``tol``.
     """
-    U = np.asarray(U, dtype=complex)
-    if not is_unitary(U, 1e-9):
-        raise ValueError("cartan_decompose requires a unitary input")
+    U = _unitary(U, "cartan_decompose")
     Us = to_su4(U)
     c = weyl_coordinates_many(Us[None])[0]
     A = canonical_gate(*c)

@@ -259,13 +259,25 @@ def test_config_errors_exit_1(tmp_path, capsys):
             {"N_list": [0, 2]},
             {"N_list": [2.5]},
             {"N_list": [-2]},
-            {"N_list": [2, 2]}]):
+            {"N_list": [2, 2]},
+            # a block is a JSON object, an index an integer, a number not a bool
+            {"noise": [["seed", 3]]},
+            {"optimizer": [["n_kicks", 2]]},
+            {"noise": 0},
+            {"noise": {**noise, "channels": [[1.9, 2]]}},
+            {"noise": {**noise, "sigma_nonlocal": True}},
+            {"optimizer": {**opt, "tol_J": True}},
+            # the default band cannot reach this 1/f exponent
+            {"noise": {**noise, "kind": "one_over_f", "alpha": 2.0}},
+            {"N_list": ["a", 2]}]):
         cfg = write_spec(tmp_path, {**small_spec(), **edit}, f"bad_{i}.json")
         capsys.readouterr()
         assert run(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         captured = capsys.readouterr()
         assert "FAILED" not in captured.out
         assert captured.err.startswith("error:")
+    # each was refused before --out was made
+    assert not (tmp_path / "o").exists()
     good = write_spec(tmp_path, small_spec(), "good.json")
     assert run(["optimize", "--config", good, "--seed", "-3", "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith("error:")
@@ -292,7 +304,8 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert "--threads" in capsys.readouterr().err
     for i, bad in enumerate([{"M": 0}, {"M": 2, "sigma_local": [0.01, 0.1, 0]},
                              {"M": 2, "sigma_nonlocal": [0.1, 0.01, 2]},
-                             {"M": 2, "sigma_nonlocal": [0.0, 0.1, 2]}]):
+                             {"M": 2, "sigma_nonlocal": [0.0, 0.1, 2]},
+                             {"M": 2, "sigma_local": [True, True, 2]}]):
         cfg = write_spec(tmp_path, {**grid_spec, "grid": bad}, f"bad_grid_{i}.json")
         assert run(["contour", "--config", cfg, "--solution", str(sol), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")

@@ -54,7 +54,9 @@ def test_config_validation():
                 {"gate_time_T": np.nan}, {"alpha": np.nan}, {"nu_min": 0.0},
                 {"nu_max": np.inf}, {"n_fluctuators": 0}, {"n_fluctuators": 2.5},
                 {"seed": -3}, {"seed": 2.5}, {"channels": ((4, 1),)},
-                {"channels": ((1, -1),)}):
+                {"channels": ((1, -1),)}, {"channels": ((1.9, 2),)},
+                {"channels": ((True, 2),)}, {"sigma_nonlocal": True},
+                {"alpha": True}, {"nu_max": True}, {"sigma_local": 10**400}):
         for kind in (QUASISTATIC, ONE_OVER_F):
             with pytest.raises(ValueError):
                 NoiseConfig(kind=kind, **bad)
@@ -248,6 +250,13 @@ def test_weights_unit_variance_and_exponent():
     assert 0.4 < beta < 1.0
     assert fluctuator_rates(OF)[0] == pytest.approx(OF.nu_min)
     assert fluctuator_rates(OF)[-1] == pytest.approx(OF.nu_max)
+
+
+def test_unreachable_alpha_named():
+    # the default band (10 fluctuators on [0.05, 5]) cannot bend its fitted
+    # slope to -2: the fit names alpha, the band and the count
+    with pytest.raises(ValueError, match=r"alpha 2\.0 .* 10 fluctuators .*\[0\.05, 5\.0\]"):
+        fluctuator_weights(replace(OF, alpha=2.0))
 
 
 @pytest.mark.slow

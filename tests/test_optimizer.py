@@ -144,6 +144,9 @@ def test_gradient_synthetic_quadratic():
     {"max_iterations": 1.5},
     {"polish_rounds": 2.5},
     {"n_kicks": 2.5},
+    {"tol_J": True},
+    {"kick_scales": (True,)},
+    {"bounds": (0.0, True)},
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
@@ -266,7 +269,7 @@ class BiasedGradient(SequenceObjective):
 def test_lbfgs_J_is_value_at_returned_x():
     # after a line-search failure SciPy's res.fun is the J of the last trial
     # point, not of res.x
-    ensemble = make_ensemble(QS.with_seed(0), 2, 10)
+    ensemble = make_ensemble(replace(QS, seed=0), 2, 10)
     config = OptimizerConfig(ensemble_size=10)
     obj = BiasedGradient(2, ensemble)
     x = np.random.default_rng(0).uniform(-2, 2, 12)

@@ -46,6 +46,10 @@ def test_params_validation():
         SequenceParams(0, np.zeros(0))
     with pytest.raises(ValueError):
         SequenceParams(1, np.full(6, np.nan))
+    # N is an integer: not a bool, not a float
+    for N in (True, 1.0):
+        with pytest.raises(ValueError, match="integer"):
+            SequenceParams(N, np.zeros(6))
 
 
 def test_params_tiling():
