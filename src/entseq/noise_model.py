@@ -56,7 +56,8 @@ def is_real(v):
 
 @dataclass
 class NoiseConfig:
-    """Noise model parameters.  Rates are in units of 1/gate_time_T."""
+    """Noise model parameters.  Time is absolute: the gate spans
+    ``[0, gate_time_T]`` and the fluctuator rates are per unit of that time."""
 
     kind: str = QUASISTATIC
     sigma_nonlocal: float = 0.13

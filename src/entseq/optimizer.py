@@ -174,9 +174,9 @@ def objective_cotangents(U, O, d_weight=1.0):
 class SequenceObjective:
     """J and its exact gradient on a frozen noise ensemble."""
 
-    def __init__(self, N, ensemble):
-        self.N = N
+    def __init__(self, ensemble):
         self.slices, self.delta_eta = ensemble_slices(ensemble)
+        self.N = self.slices.shape[1]
 
     def gates(self, x):
         """(U, O) at x: the kernel on this objective's ensemble."""
@@ -410,7 +410,7 @@ def cascade_optimize(N_list, noise_config, optimizer_config, out=None,
             ensemble = noise_model.make_ensemble(
                 noise_config, N, optimizer_config.ensemble_size, seed=ensemble_seed
             )
-            obj = SequenceObjective(N, ensemble)
+            obj = SequenceObjective(ensemble)
             guess = initialize_guess(N, solved)
             inits = [guess.angles]
             if np.any(guess.angles):

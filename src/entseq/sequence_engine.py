@@ -102,6 +102,8 @@ def ensemble_slices(ensemble):
     All noise generators are diagonalized in one batched call; quasistatic
     realizations repeat one segment generator across the segments.
     """
+    if not ensemble:
+        raise ValueError("ensemble must be nonempty")
     first = ensemble[0]
     N = first.segment_count
     if any((r.segment_count, r.channels, r.kind) != (N, first.channels, first.kind)
@@ -206,47 +208,47 @@ def ensemble_metrics(U, O):
 
 def evaluate_solution(params, ensemble):
     """Gate error and PE error of ``params`` averaged over a noise ensemble."""
-    if not ensemble:
-        raise ValueError("ensemble must be nonempty")
     return ensemble_metrics(*ensemble_gates(params.angles, *ensemble_slices(ensemble)))
 
 
-def uncorrected_error(config, N, M, seed=None):
+def uncorrected_error(config, N, M):
     """Mean gate error of the identity-rotation sequence (no correction)."""
-    ensemble = noise_model.make_ensemble(config, N, M, seed=seed)
+    ensemble = noise_model.make_ensemble(config, N, M)
     return evaluate_solution(SequenceParams(N, np.zeros(6 * N)), ensemble).epsilon
 
 
-def calibrate_amplitude(target_uncorrected_error, config, N, M,
-                        rel_tol=0.05, max_sigma=2.0):
+CALIBRATION_REL_TOL = 0.05   # bisection stops this close to the target, relative
+CALIBRATION_MAX_SIGMA = 2.0  # bracketing the target gives up above this amplitude
+
+
+def calibrate_amplitude(target, config, N, M):
     """Bisect sigma_nonlocal until the identity-rotation (uncorrected) gate
-    error matches the target within ``rel_tol`` relative.
+    error matches the target within ``CALIBRATION_REL_TOL`` relative.
 
     The same ensemble substreams are reused for every trial amplitude
     (common random numbers), which makes the bisected function deterministic
-    and monotone.
+    and monotone.  A ValueError unless the target is a number in (0, 0.5); a
+    RuntimeError when no amplitude up to ``CALIBRATION_MAX_SIGMA`` reaches it.
     """
-    if target_uncorrected_error == 0:
-        return 0.0
-    if not 0 < target_uncorrected_error < 0.5:
-        raise ValueError("target uncorrected error must lie in (0, 0.5)")
+    if not (noise_model.is_real(target) and 0 < target < 0.5):
+        raise ValueError(f"target error must be a number in (0, 0.5), got {target!r}")
 
     def eps_at(sigma):
         return uncorrected_error(replace(config, sigma_nonlocal=sigma), N, M)
 
     lo, hi = 0.0, max(config.sigma_nonlocal, 0.05)
-    while eps_at(hi) < target_uncorrected_error:
+    while eps_at(hi) < target:
         hi *= 2.0
-        if hi > max_sigma:
+        if hi > CALIBRATION_MAX_SIGMA:
             raise RuntimeError(
-                f"calibration failed to bracket the target below sigma={max_sigma}"
+                f"calibration failed to bracket the target below sigma={CALIBRATION_MAX_SIGMA}"
             )
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         eps = eps_at(mid)
-        if abs(eps - target_uncorrected_error) <= rel_tol * target_uncorrected_error:
+        if abs(eps - target) <= CALIBRATION_REL_TOL * target:
             return mid
-        if eps < target_uncorrected_error:
+        if eps < target:
             lo = mid
         else:
             hi = mid

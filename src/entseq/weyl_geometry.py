@@ -7,7 +7,8 @@ invariants do not depend on this choice but the Cartan factors k1, k2 do.
 
 The canonical nonlocal gate is ``A(c) = exp[-i/2 (c1 XX + c2 YY + c3 ZZ)]``
 and Weyl coordinates are reported in radians, folded into the canonical cell
-``c2 <= min(c1, pi - c1)``, ``0 <= c3 <= c2``, ``c1 in [0, pi]``.
+``c2 <= min(c1, pi - c1)``, ``0 <= c3 <= c2``, ``c1 in [0, pi]``.  The
+perfect-entangler fidelity needs no fold: it reads the Gram spectrum's widest gap.
 
 Note on ``g2``: its sign flips under complex conjugation of the gate and
 differs between published tables depending on which square root / transpose
@@ -262,23 +263,15 @@ def pe_functional_D(U):
 
 
 def pe_fidelity_many(U):
-    """Fidelity to the closest perfect entangler, batched, from Weyl coordinates."""
-    c = weyl_coordinates_many(U)
-    return pe_fidelity_from_weyl(c)
-
-
-def pe_fidelity_from_weyl(c):
-    c = np.asarray(c)
-    c1, c2, c3 = c[..., 0], c[..., 1], c[..., 2]
-    half_pi = 0.5 * np.pi
-    out = np.ones(c1.shape)
-    b1 = c1 + c2 <= half_pi
-    b2 = c2 + c3 >= half_pi
-    b3 = c1 - c2 >= half_pi
-    out = np.where(b1, np.cos((c1 + c2 - half_pi) / 4.0) ** 2, out)
-    out = np.where(b2 & ~b1, np.cos((c2 + c3 - half_pi) / 4.0) ** 2, out)
-    out = np.where(b3 & ~b1 & ~b2, np.cos((c1 - c2 - half_pi) / 4.0) ** 2, out)
-    return out
+    """Fidelity to the closest perfect entangler, batched: ``cos^2(max(w - pi, 0) / 8)``,
+    ``w`` the widest gap of the Gram eigenphases.  A gate is a perfect entangler
+    exactly when ``w <= pi`` (Zhang, Vala, Sastry and Whaley, PRA 67, 042313); outside,
+    ``w - pi`` is twice the excess over the face it lies beyond (``pi/2 - c1 - c2``,
+    ``c2 + c3 - pi/2`` or ``c1 - c2 - pi/2``).  Gaps ignore the global phase.
+    """
+    theta = np.sort(np.angle(np.linalg.eigvals(_magic_gram(U)[1])), axis=-1)
+    gaps = np.diff(theta, axis=-1, append=theta[..., :1] + 2.0 * np.pi)
+    return np.cos(np.maximum(gaps.max(axis=-1) - np.pi, 0.0) / 8.0) ** 2
 
 
 def pe_fidelity(U):

@@ -5,8 +5,9 @@ The reference computations deliberately take different computational routes
 than the package: invariants via the determinant-divided trace formulas (no
 fourth-root normalization), canonical gates via scipy's general expm (not the
 magic-basis diagonal form), and closed-form invariants from chamber
-coordinates.  Expected values frozen into the tests were produced by these
-functions.
+coordinates.  The perfect-entangler fidelity is checked against the
+three-face formula on the folded Weyl coordinates.  Expected values frozen
+into the tests were produced by these functions.
 
 The Haar-random generators draw test gates, and ``sample_noise_trace`` with
 ``fit_spectral_exponent`` measure the spectrum of the package's 1/f noise.
@@ -85,6 +86,20 @@ def in_pe_polyhedron(c1, c2, c3):
     """Perfect-entangler membership from the polyhedron inequalities."""
     half_pi = 0.5 * np.pi
     return (c1 + c2 >= half_pi) and (c1 - c2 <= half_pi) and (c2 + c3 <= half_pi)
+
+
+def pe_fidelity_three_faces(c):
+    """F_PE from folded Weyl coordinates ``(..., 3)``: ``cos^2(e / 4)`` with
+    ``e`` the excess over the first polyhedron face the point lies beyond."""
+    c1, c2, c3 = np.moveaxis(np.asarray(c), -1, 0)
+    half_pi = 0.5 * np.pi
+    b1 = c1 + c2 <= half_pi
+    b2 = c2 + c3 >= half_pi
+    b3 = c1 - c2 >= half_pi
+    out = np.ones(c1.shape)
+    out = np.where(b1, np.cos((c1 + c2 - half_pi) / 4.0) ** 2, out)
+    out = np.where(b2 & ~b1, np.cos((c2 + c3 - half_pi) / 4.0) ** 2, out)
+    return np.where(b3 & ~b1 & ~b2, np.cos((c1 - c2 - half_pi) / 4.0) ** 2, out)
 
 
 CNOT = np.array(

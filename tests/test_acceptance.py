@@ -206,7 +206,7 @@ def test_criterion_03_pe_test_consistency():
 
 def test_criterion_04_quasistatic_headline(qs_calibration, qs_cascade):
     sigma = qs_calibration.sigma_nonlocal
-    eps_unc = uncorrected_error(qs_calibration, 16, 200, seed=ROOT_SEED + 4)
+    eps_unc = uncorrected_error(replace(qs_calibration, seed=ROOT_SEED + 4), 16, 200)
     eps16 = qs_cascade[16].final_metrics.epsilon
     pe_worst = max(r.final_metrics.epsilon_pe for r in qs_cascade.values())
     ok = (0.08 <= eps_unc <= 0.12) and (eps16 <= 5e-3) and (pe_worst <= 1e-8)
@@ -287,7 +287,7 @@ def test_criterion_07_one_over_f(onef_config, onef_cascade):
     pe_worst = 0.0
     for N, res in onef_cascade.items():
         unc = uncorrected_error(
-            onef_config, N, 100, seed=res.seeds["ensemble_seed"]
+            replace(onef_config, seed=res.seeds["ensemble_seed"]), N, 100
         )
         ratios[N] = unc / res.final_metrics.epsilon
         pe_worst = max(pe_worst, res.final_metrics.epsilon_pe)
@@ -344,7 +344,7 @@ def test_criterion_09_gradient_self_consistency(qs_calibration, qs_cascade,
                                                 onef_cascade):
     rng = np.random.default_rng(ROOT_SEED + 9)
     ensemble = make_ensemble(qs_calibration, 4, 50, seed=ROOT_SEED + 90)
-    obj = SequenceObjective(4, ensemble)
+    obj = SequenceObjective(ensemble)
     worst_rel = 0.0
     for _ in range(10):
         x = rng.uniform(-2.0, 2.0, 24)

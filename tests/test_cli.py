@@ -328,6 +328,9 @@ def test_config_errors_exit_1(tmp_path, capsys):
     for i, target in enumerate(["abc", None]):
         cfg = write_spec(tmp_path, {**grid_spec, "target_error": target}, f"target_{i}.json")
         argvs.append(["calibrate", "--config", cfg])
+    # calibrate_amplitude owns the (0, 0.5) target rule; its refusal is exit 1
+    for target in ("0", "0.5", "nan", "true"):
+        argvs.append(["calibrate", "--target", target])
     for name in ("seed_neg", "seed_str"):
         argvs.append(["evaluate", "--solution", solutions[name], "--stored-seeds"])
     argvs.append(["evaluate", "--solution", solutions["config_list"]])

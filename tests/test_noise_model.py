@@ -304,7 +304,8 @@ def test_local_fidelity_trivial_and_monotone():
 
 def test_calibrate_amplitude():
     cfg = replace(QS, sigma_local=0.0, seed=21)
-    assert calibrate_amplitude(0.0, cfg, 4, 50) == 0.0
+    with pytest.raises(ValueError):
+        calibrate_amplitude(0.0, cfg, 4, 50)
     sigma = calibrate_amplitude(0.10, cfg, 4, 200)
     eps = uncorrected_error(replace(cfg, sigma_nonlocal=sigma), 4, 200)
     assert abs(eps - 0.10) <= 0.005

@@ -38,7 +38,7 @@ def test_objective_trivials():
     # target, so J equals the identity-class PE distance of 2
     cfg = replace(QS, sigma_nonlocal=0.0)
     ensemble = make_ensemble(cfg, 2, 3)
-    J = SequenceObjective(2, ensemble).value(np.zeros(12))
+    J = SequenceObjective(ensemble).value(np.zeros(12))
     assert J == pytest.approx(2.0, abs=1e-9)
 
 
@@ -49,7 +49,7 @@ def test_objective_zero_for_perfect_entangler():
     x = np.zeros(12)
     x[7] = np.pi / 2   # beta1 of segment 2
     x[10] = np.pi / 2  # beta2 of segment 2
-    obj = SequenceObjective(2, ensemble)
+    obj = SequenceObjective(ensemble)
     J = obj.value(x)
     U, O = obj.gates(x)
     eps, D = float(np.mean(gate_error(U, O))), float(np.mean(pe_functional_many(U)))
@@ -59,17 +59,27 @@ def test_objective_zero_for_perfect_entangler():
 
 def test_objective_nonnegative_random():
     rng = np.random.default_rng(1)
-    obj = SequenceObjective(2, make_ensemble(QS, 2, 8))
+    obj = SequenceObjective(make_ensemble(QS, 2, 8))
     for _ in range(200):
         J = obj.value(rng.uniform(-8, 8, 12))
         assert J >= 0.0
 
 
+def test_objective_length_from_its_ensemble():
+    # the tracer keys its per-length metrics by obj.N
+    assert SequenceObjective(make_ensemble(QS, 3, 2)).N == 3
+
+
+def test_objective_refuses_empty_ensemble():
+    with pytest.raises(ValueError, match="nonempty"):
+        SequenceObjective([])
+
+
 def test_objective_bit_identical_on_frozen_ensemble():
     ensemble = make_ensemble(QS, 3, 10)
     x = np.random.default_rng(2).uniform(-2, 2, 18)
-    a = SequenceObjective(3, ensemble).value(x)
-    b = SequenceObjective(3, ensemble).value(x)
+    a = SequenceObjective(ensemble).value(x)
+    b = SequenceObjective(ensemble).value(x)
     assert a == b
 
 
@@ -89,7 +99,7 @@ def test_gradient_matches_naive_fd():
     # repair round, with D nonzero on some members
     cases = [(QS, 2, 6, 3, 1.0, 1.0), (replace(QS, sigma_local=0.01), 4, 12, 9, 2.0, 16.0)]
     for cfg, N, M, seed, span, d_weight in cases:
-        obj = SequenceObjective(N, make_ensemble(cfg, N, M))
+        obj = SequenceObjective(make_ensemble(cfg, N, M))
         x = np.random.default_rng(seed).uniform(-span, span, 6 * N)
         J, g = obj.value_and_grad(x, d_weight)
         assert J == obj.value(x, d_weight)
@@ -104,7 +114,7 @@ def test_gradient_forward_vs_central():
     ensemble = make_ensemble(QS, 2, 10)
     rng = np.random.default_rng(4)
     x = rng.uniform(-2, 2, 12)
-    obj = SequenceObjective(2, ensemble)
+    obj = SequenceObjective(ensemble)
     D = pe_functional_many(obj.gates(x)[0])
     assert 0 < np.count_nonzero(D) < D.size
     g = obj.value_and_grad(x)[1]
@@ -226,7 +236,7 @@ def test_minimize_noise_free_reaches_perfect_entangler():
     # identity init sits on a symmetry point of the noise-free landscape;
     # a deterministic offset is enough for the descent test
     x0 = np.full(12, 0.3)
-    obj = SequenceObjective(2, ensemble)
+    obj = SequenceObjective(ensemble)
     res = _lbfgs(obj, x0, config)
     assert res.J <= obj.value(x0)
     assert res.history[0] >= res.history[-1]
@@ -240,10 +250,10 @@ def test_minimize_noise_free_reaches_perfect_entangler():
 def test_minimize_history_matches_objective():
     ensemble = make_ensemble(QS, 2, 10)
     config = OptimizerConfig(ensemble_size=10, max_iterations=5)
-    obj = SequenceObjective(2, ensemble)
+    obj = SequenceObjective(ensemble)
     res = _lbfgs(obj, np.full(12, 0.2), config)
     assert res.history[0] == pytest.approx(
-        SequenceObjective(2, ensemble).value(np.full(12, 0.2))
+        SequenceObjective(ensemble).value(np.full(12, 0.2))
     )
     assert res.J <= res.history[0]
 
@@ -251,7 +261,7 @@ def test_minimize_history_matches_objective():
 def test_minimize_respects_bounds():
     ensemble = make_ensemble(QS, 2, 5)
     config = OptimizerConfig(ensemble_size=5, bounds=(-0.5, 0.5), max_iterations=50)
-    obj = SequenceObjective(2, ensemble)
+    obj = SequenceObjective(ensemble)
     res = _lbfgs(obj, np.zeros(12), config)
     assert np.all(res.x >= -0.5 - 1e-12)
     assert np.all(res.x <= 0.5 + 1e-12)
@@ -271,7 +281,7 @@ def test_lbfgs_J_is_value_at_returned_x():
     # point, not of res.x
     ensemble = make_ensemble(replace(QS, seed=0), 2, 10)
     config = OptimizerConfig(ensemble_size=10)
-    obj = BiasedGradient(2, ensemble)
+    obj = BiasedGradient(ensemble)
     x = np.random.default_rng(0).uniform(-2, 2, 12)
     reasons = []
     for _ in range(4):
@@ -285,7 +295,7 @@ def test_lbfgs_J_is_value_at_returned_x():
 def test_polish_reuses_known_start_values(monkeypatch):
     ensemble = make_ensemble(QS, 2, 10)
     config = OptimizerConfig(ensemble_size=10, polish_rounds=4)
-    obj = SequenceObjective(2, ensemble)
+    obj = SequenceObjective(ensemble)
     x0 = np.random.default_rng(6).uniform(-2, 2, 12)
     value = obj.value
     evaluated = []
@@ -398,7 +408,7 @@ def test_one_over_f_objective_gradient():
     )
     ensemble = make_ensemble(cfg, 2, 5)
     x = np.random.default_rng(7).uniform(-1, 1, 12)
-    obj = SequenceObjective(2, ensemble)
+    obj = SequenceObjective(ensemble)
     J, g = obj.value_and_grad(x)
     assert J == obj.value(x)
     assert np.allclose(g, central_gradient(obj, x), rtol=1e-6, atol=1e-9)

@@ -26,6 +26,7 @@ from oracles import (
     SWAP,
     canonical_gate_expm,
     invariants_det_form,
+    pe_fidelity_three_faces,
     random_local,
     random_unitary,
 )
@@ -169,6 +170,26 @@ def test_pe_functional_near_faces_matches_cubic_root_selector():
         D = pe_functional_many(U)
         assert D.min() >= 0.0, name
         assert np.abs(D - _reference_D(U)).max() <= 1e-10, name
+
+
+def test_pe_fidelity_widest_gap_matches_three_face_formula():
+    # the widest Gram gap and the folded coordinates give the same F_PE:
+    # equal to rounding on Haar gates, bit for bit near the polyhedron faces,
+    # and F == 1 on the same gates
+    rng = np.random.default_rng(8)
+    sets = {"haar": np.stack([random_unitary(4, rng) for _ in range(10_000)]),
+            **_near_face_gates(np.random.default_rng(12))}
+    for name, U in sets.items():
+        F = pe_fidelity_many(U)
+        ref = pe_fidelity_three_faces(weyl_coordinates_many(U))
+        assert np.array_equal(F == 1.0, ref == 1.0), name
+        # near I and SWAP the four eigenphases nearly coincide: the widest gap
+        # is the wrap-around 2 pi + theta_0 - theta_3, which rounds apart from
+        # the fold's c1 + c2 by up to 2.2e-16
+        if name in ("haar", "I", "SWAP"):
+            assert np.abs(F - ref).max() <= 2.3e-16, name
+        else:
+            assert np.array_equal(F, ref), name
 
 
 def test_pe_functional_monotone_to_cnot():
