@@ -23,10 +23,7 @@ from .noise_model import (
     NoiseConfig,
     NoiseRealization,
     TWO_LOCAL_CHANNELS,
-    estimate_local_fidelity,
     make_ensemble,
-    sample_one_over_f,
-    sample_quasistatic,
 )
 from .sequence_engine import (
     EnsembleMetrics,

@@ -1,6 +1,6 @@
 """Noise generation: quasistatic Gaussian error coefficients, 1/f^alpha noise
-from superposed random-telegraph fluctuators, per-segment sampling, and local
-Euler-angle perturbations with their Monte-Carlo fidelity estimate.
+from superposed random-telegraph fluctuators, and local Euler-angle
+perturbations.  ``make_ensemble`` is the one sampler for every noise kind.
 
 A noise realization holds, for one sampled world:
 
@@ -28,8 +28,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
-
-from .gate_algebra import local_rotation, trace_fidelity
 
 QUASISTATIC = "quasistatic"
 ONE_OVER_F = "one_over_f"
@@ -91,6 +89,9 @@ class NoiseConfig:
         self.channels = tuple((int(i), int(j)) for i, j in pairs)
         if not self.channels or (0, 0) in self.channels:
             raise ValueError("channels must be nonempty and exclude (0, 0)")
+        # a repeated channel would get a coefficient per copy: variance k sigma^2
+        if len(set(self.channels)) < len(self.channels):
+            raise ValueError(f"channels must be distinct, got {pairs!r}")
 
     def to_dict(self):
         return {
@@ -115,11 +116,6 @@ class NoiseRealization:
     delta: np.ndarray          # (N, n_channels)
     delta_eta: np.ndarray      # (N, 6)
     channels: tuple
-    kind: str
-
-    @property
-    def segment_count(self):
-        return self.delta.shape[0]
 
 
 def fluctuator_rates(config):
@@ -213,71 +209,31 @@ def telegraph_bank(config, times, rng):
     return np.moveaxis(out, 0, -1)
 
 
-def sample_quasistatic(config, N, rng):
-    """One Gaussian draw per channel, replicated across segments; independent
-    Gaussian delta_eta per angle slot per segment."""
-    if config.kind != QUASISTATIC:
-        raise ValueError("config.kind must be quasistatic")
-    draw = rng.normal(0.0, config.sigma_nonlocal, len(config.channels))
-    delta = np.tile(draw, (N, 1))
-    delta_eta = rng.normal(0.0, config.sigma_local, (N, 6))
-    return NoiseRealization(delta, delta_eta, config.channels, config.kind)
-
-
-def sample_one_over_f(config, N, rng):
-    """One fluctuator bank per channel and per local angle slot, each read
-    once per segment at a uniformly random time within that segment's window.
-
-    Draw order: the ``(n_channels + 6, N)`` read times, then the banks'
-    initial states and flips (``telegraph_bank``).
-    """
-    if config.kind != ONE_OVER_F:
-        raise ValueError("config.kind must be one_over_f")
-    T = config.gate_time_T
-    lo = np.arange(N) * T / N
-    hi = lo + T / N
-    C = len(config.channels)
-    times = rng.uniform(lo, hi, (C + 6, N))
-    banks = telegraph_bank(config, times, rng)
-    delta = config.sigma_nonlocal * banks[:C].T
-    delta_eta = config.sigma_local * banks[C:].T
-    return NoiseRealization(delta, delta_eta, config.channels, config.kind)
-
-
-def sample_realization(config, N, rng):
-    if config.kind == QUASISTATIC:
-        return sample_quasistatic(config, N, rng)
-    return sample_one_over_f(config, N, rng)
-
-
-def realization_rng(seed, m):
-    """Independent substream for ensemble member ``m``."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(m,)))
-
-
 def make_ensemble(config, N, M, seed=None):
-    """M independent noise realizations with per-member substreams."""
-    seed = config.seed if seed is None else seed
-    return [
-        sample_realization(config, N, realization_rng(seed, m)) for m in range(M)
-    ]
+    """M independent noise realizations of N segments, member m drawn from its
+    own substream ``SeedSequence(entropy=seed, spawn_key=(m,))`` (``seed``
+    defaults to ``config.seed``).  Draw order within a member:
 
-
-def estimate_local_fidelity(sigma_local, n_coeff_sets, n_angle_sets, rng,
-                            angle_range=4.0 * np.pi):
-    """Monte-Carlo mean of the local-rotation fidelity
-    ``|tr(R(eta')^dag R(eta))|^2 / 16`` under multiplicative angle noise.
-
-    Angle sets are uniform in ``[-angle_range, angle_range]``; each of the six
-    angles gets an independent Gaussian coefficient per coefficient set.
+    * quasistatic: one Gaussian per channel, repeated across the segments,
+      then one Gaussian ``delta_eta`` per angle slot and segment;
+    * 1/f: one fluctuator bank per channel and per angle slot, read once per
+      segment at a uniform time in its window: the ``(n_channels + 6, N)``
+      read times, then the banks' states and flips (``telegraph_bank``).
     """
-    if n_coeff_sets < 1 or n_angle_sets < 1:
-        raise ValueError("sample counts must be >= 1")
-    total = 0.0
-    for _ in range(n_angle_sets):
-        ang = rng.uniform(-angle_range, angle_range, 6)
-        R = local_rotation(ang)
-        deltas = rng.normal(0.0, sigma_local, (n_coeff_sets, 6))
-        Rp = local_rotation(ang[None, :] * (1.0 + deltas))
-        total += trace_fidelity(Rp, R).mean()
-    return total / n_angle_sets
+    seed = config.seed if seed is None else seed
+    C = len(config.channels)
+    lo = np.arange(N) * config.gate_time_T / N
+    hi = lo + config.gate_time_T / N
+    ensemble = []
+    for m in range(M):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(m,)))
+        if config.kind == QUASISTATIC:
+            delta = np.tile(rng.normal(0.0, config.sigma_nonlocal, C), (N, 1))
+            delta_eta = rng.normal(0.0, config.sigma_local, (N, 6))
+        else:
+            banks = telegraph_bank(config, rng.uniform(lo, hi, (C + 6, N)), rng)
+            delta = config.sigma_nonlocal * banks[:C].T
+            delta_eta = config.sigma_local * banks[C:].T
+        ensemble.append(NoiseRealization(delta, delta_eta, config.channels))
+    return ensemble
+

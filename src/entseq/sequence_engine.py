@@ -99,20 +99,20 @@ def ensemble_slices(ensemble):
     ``D_mn = exp(-i Delta_mn / N)``; member M is the noise-free target,
     ``F = Z_N`` and ``delta_eta = 0``.
 
-    All noise generators are diagonalized in one batched call; quasistatic
-    realizations repeat one segment generator across the segments.
+    All noise generators are diagonalized in one batched call: one per member
+    when every member's coefficients repeat across the segments, as
+    quasistatic ones do, else one per member and segment.
     """
     if not ensemble:
         raise ValueError("ensemble must be nonempty")
     first = ensemble[0]
-    N = first.segment_count
-    if any((r.segment_count, r.channels, r.kind) != (N, first.channels, first.kind)
-           for r in ensemble):
-        raise ValueError("ensemble realizations disagree on segment count, channels or kind")
+    N = first.delta.shape[0]
+    if any((r.delta.shape[0], r.channels) != (N, first.channels) for r in ensemble):
+        raise ValueError("ensemble realizations disagree on segment count or channels")
     M = len(ensemble)
     sig = pauli_stack(first.channels)
     delta = np.stack([r.delta for r in ensemble])
-    if first.kind == noise_model.QUASISTATIC:
+    if (delta == delta[:, :1]).all():
         D = expm_hermitian(np.einsum("mc,cab->mab", delta[:, 0], sig), 1.0 / N)
         D = np.broadcast_to(D[:, None], (M, N, 4, 4))
     else:

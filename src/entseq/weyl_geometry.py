@@ -372,8 +372,9 @@ def cartan_decompose(U, tol=1e-8):
     V = _MAGIC_DAG @ Us @ MAGIC
     order = np.empty(4, dtype=int)
     # the principal fourth root may be off the branch the fold picked;
-    # multiplying V by i shifts every Gram eigenphase by pi
-    for _branch in range(4):
+    # multiplying V by i shifts every Gram eigenphase by pi, and m(i^k V) =
+    # (-1)^k m(V), so only these two branches differ
+    for _branch in range(2):
         m = V.T @ V
         P = _diagonalize_symmetric_unitary(m, rng)
         lam = np.diagonal(P.T @ m @ P).copy()

@@ -9,14 +9,19 @@ coordinates.  The perfect-entangler fidelity is checked against the
 three-face formula on the folded Weyl coordinates.  Expected values frozen
 into the tests were produced by these functions.
 
-The Haar-random generators draw test gates, and ``sample_noise_trace`` with
-``fit_spectral_exponent`` measure the spectrum of the package's 1/f noise.
+The Haar-random generators draw test gates, ``sample_noise_trace`` with
+``fit_spectral_exponent`` measure the spectrum of the package's 1/f noise,
+``estimate_local_fidelity`` is the Monte-Carlo harness of criterion 6, and
+``any_value`` draws arbitrary field values for the config validation
+properties.
 """
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.signal import welch
 
+from entseq.gate_algebra import local_rotation, trace_fidelity
 from entseq.noise_model import telegraph_bank
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -161,3 +166,31 @@ def fit_spectral_exponent(x, sample_rate, band, nperseg=32768, n_bins=24):
             pc.append(P[sel].mean())
     slope = np.polyfit(np.log(fc), np.log(pc), 1)[0]
     return -slope
+
+
+def estimate_local_fidelity(sigma_local, n_coeff_sets, n_angle_sets, rng,
+                            angle_range=4.0 * np.pi):
+    """Monte-Carlo mean of the local-rotation fidelity
+    ``|tr(R(eta')^dag R(eta))|^2 / 16`` under multiplicative angle noise.
+
+    Angle sets are uniform in ``[-angle_range, angle_range]``; each of the six
+    angles gets an independent Gaussian coefficient per coefficient set.
+    """
+    if n_coeff_sets < 1 or n_angle_sets < 1:
+        raise ValueError("sample counts must be >= 1")
+    total = 0.0
+    for _ in range(n_angle_sets):
+        ang = rng.uniform(-angle_range, angle_range, 6)
+        R = local_rotation(ang)
+        deltas = rng.normal(0.0, sigma_local, (n_coeff_sets, 6))
+        Rp = local_rotation(ang[None, :] * (1.0 + deltas))
+        total += trace_fidelity(Rp, R).mean()
+    return total / n_angle_sets
+
+
+# any JSON-like value, nested: numbers of every kind, strings, None, lists
+any_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner),
+    max_leaves=6,
+)

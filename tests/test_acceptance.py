@@ -20,7 +20,6 @@ from entseq.noise_model import (
     NoiseConfig,
     ONE_OVER_F,
     QUASISTATIC,
-    estimate_local_fidelity,
     make_ensemble,
 )
 from entseq.optimizer import (
@@ -49,6 +48,7 @@ from oracles import (
     CNOT,
     SQRT_SWAP,
     SWAP,
+    estimate_local_fidelity,
     fit_spectral_exponent,
     random_local,
     random_unitary,

@@ -253,6 +253,7 @@ def test_config_errors_exit_1(tmp_path, capsys):
             {"noise": {**noise, "sigma_nonlocal": float("nan")}},
             {"optimizer": {**opt, "kick_scales": []}},
             {"noise": {**noise, "channels": [[4, 1]]}},
+            {"noise": {**noise, "channels": [[1, 1], [1, 1]]}},
             {"noise": {**noise, "kind": "one_over_f", "n_fluctuators": 2.5}},
             {"noise": {**noise, "seed": -3}},
             {"optimizer": {**opt, "ensemble_size": 2.5}},

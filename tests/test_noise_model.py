@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,12 +11,9 @@ from entseq.noise_model import (
     ONE_OVER_F,
     QUASISTATIC,
     TWO_LOCAL_CHANNELS,
-    estimate_local_fidelity,
     fluctuator_rates,
     fluctuator_weights,
     make_ensemble,
-    sample_one_over_f,
-    sample_quasistatic,
     spectral_weight_exponent,
     telegraph_bank,
 )
@@ -29,7 +26,7 @@ from entseq.sequence_engine import (
     uncorrected_error,
 )
 
-from oracles import fit_spectral_exponent, sample_noise_trace
+from oracles import any_value, estimate_local_fidelity, fit_spectral_exponent, sample_noise_trace
 
 QS = NoiseConfig(kind=QUASISTATIC, sigma_nonlocal=0.13, sigma_local=0.01, seed=1)
 OF = NoiseConfig(kind=ONE_OVER_F, sigma_nonlocal=0.2, sigma_local=0.006, seed=1)
@@ -56,7 +53,9 @@ def test_config_validation():
                 {"seed": -3}, {"seed": 2.5}, {"channels": ((4, 1),)},
                 {"channels": ((1, -1),)}, {"channels": ((1.9, 2),)},
                 {"channels": ((True, 2),)}, {"sigma_nonlocal": True},
-                {"alpha": True}, {"nu_max": True}, {"sigma_local": 10**400}):
+                {"alpha": True}, {"nu_max": True}, {"sigma_local": 10**400},
+                # one coefficient per copy would drive XX with variance 2 sigma^2
+                {"channels": ((1, 1), (1, 1))}, {"channels": ((1, 1), (2, 3), (1, 1))}):
         for kind in (QUASISTATIC, ONE_OVER_F):
             with pytest.raises(ValueError):
                 NoiseConfig(kind=kind, **bad)
@@ -70,7 +69,8 @@ positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 @st.composite
 def noise_configs(draw):
     nu_min, nu_max = draw(st.tuples(positive, positive).filter(lambda nu: nu[0] < nu[1]))
-    channels = draw(st.lists(st.sampled_from(ALL_CHANNELS), min_size=1, max_size=15))
+    channels = draw(st.lists(st.sampled_from(ALL_CHANNELS), min_size=1, max_size=15,
+                             unique=True))
     return NoiseConfig(
         kind=draw(st.sampled_from((QUASISTATIC, ONE_OVER_F))),
         sigma_nonlocal=draw(non_negative),
@@ -91,6 +91,18 @@ def test_config_dict_json_round_trip(cfg):
     assert NoiseConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
+@settings(deadline=None)
+@given(st.sampled_from([f.name for f in fields(NoiseConfig)]), any_value)
+def test_config_field_values_raise_only_value_or_type_errors(name, value):
+    # any value in any one field: a config that round-trips, or a ValueError
+    # or TypeError, never another exception
+    try:
+        cfg = NoiseConfig(**{name: value})
+    except (ValueError, TypeError):
+        return
+    assert NoiseConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
 def test_config_from_dict_default_channels():
     # a noise block without channels means the default two-local set
     assert NoiseConfig.from_dict({"kind": "one_over_f"}) == NoiseConfig(kind="one_over_f")
@@ -98,22 +110,19 @@ def test_config_from_dict_default_channels():
 
 def test_quasistatic_zero_amplitude():
     cfg = replace(QS, sigma_nonlocal=0.0, sigma_local=0.0)
-    real = sample_quasistatic(cfg, 4, np.random.default_rng(0))
+    (real,) = make_ensemble(cfg, 4, 1, seed=0)
     assert not real.delta.any()
     assert not real.delta_eta.any()
 
 
 def test_quasistatic_sample_std():
-    rng = np.random.default_rng(2)
     cfg = replace(QS, sigma_local=0.0)
-    draws = np.concatenate(
-        [sample_quasistatic(cfg, 1, rng).delta[0] for _ in range(100_000 // 9)]
-    )
+    draws = np.concatenate([r.delta[0] for r in make_ensemble(cfg, 1, 100_000 // 9, seed=2)])
     assert 0.128 <= draws.std() <= 0.132
 
 
 def test_quasistatic_constant_across_segments():
-    real = sample_quasistatic(QS, 8, np.random.default_rng(3))
+    (real,) = make_ensemble(QS, 8, 1, seed=3)
     assert np.array_equal(real.delta, np.tile(real.delta[0], (8, 1)))
 
 
@@ -125,16 +134,36 @@ def test_determinism_same_seed():
         assert np.array_equal(ra.delta_eta, rb.delta_eta)
 
 
-def test_substreams_are_order_independent():
-    from entseq.noise_model import realization_rng, sample_realization
+def hand_draw(cfg, N, seed, m):
+    """Member m drawn by hand from its own substream, in the documented order."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(m,)))
+    C = len(cfg.channels)
+    if cfg.kind == QUASISTATIC:
+        delta = np.tile(rng.normal(0.0, cfg.sigma_nonlocal, C), (N, 1))
+        return delta, rng.normal(0.0, cfg.sigma_local, (N, 6))
+    lo = np.arange(N) * cfg.gate_time_T / N
+    times = rng.uniform(lo, lo + cfg.gate_time_T / N, (C + 6, N))
+    banks = telegraph_bank(cfg, times, rng)
+    return cfg.sigma_nonlocal * banks[:C].T, cfg.sigma_local * banks[C:].T
 
+
+@pytest.mark.parametrize("cfg", [QS, OF], ids=["quasistatic", "one_over_f"])
+def test_members_follow_the_documented_draw_order(cfg):
+    for N, seed in ((1, 0), (4, 23)):
+        ensemble = make_ensemble(cfg, N, 3, seed=seed)
+        for m, real in enumerate(ensemble):
+            delta, delta_eta = hand_draw(cfg, N, seed, m)
+            assert np.array_equal(real.delta, delta)
+            assert np.array_equal(real.delta_eta, delta_eta)
+            assert real.channels == cfg.channels
+
+
+def test_substreams_are_order_independent():
+    # an ensemble's members do not depend on how many members follow
     for cfg in (QS, OF):
-        direct = sample_realization(cfg, 4, realization_rng(cfg.seed, 3))
-        ensemble = make_ensemble(cfg, 4, 6)
-        assert np.array_equal(direct.delta, ensemble[3].delta)
-        assert np.array_equal(direct.delta_eta, ensemble[3].delta_eta)
-        # an ensemble's members do not depend on how many members follow
-        assert np.array_equal(make_ensemble(cfg, 4, 4)[3].delta, ensemble[3].delta)
+        for a, b in zip(make_ensemble(cfg, 4, 4), make_ensemble(cfg, 4, 6)):
+            assert np.array_equal(a.delta, b.delta)
+            assert np.array_equal(a.delta_eta, b.delta_eta)
 
 
 def one_fluctuator(nu):
@@ -218,23 +247,17 @@ def test_telegraph_blocks_do_not_change_the_bank(monkeypatch):
 
 def test_one_over_f_zero_amplitude():
     cfg = replace(OF, sigma_nonlocal=0.0, sigma_local=0.0)
-    real = sample_one_over_f(cfg, 4, np.random.default_rng(0))
+    (real,) = make_ensemble(cfg, 4, 1, seed=0)
     assert not real.delta.any()
 
 
 def test_one_over_f_sample_std():
-    rng = np.random.default_rng(6)
-    vals = np.concatenate(
-        [sample_one_over_f(OF, 2, rng).delta.ravel() for _ in range(600)]
-    )
+    vals = np.concatenate([r.delta.ravel() for r in make_ensemble(OF, 2, 600, seed=6)])
     assert 0.19 <= vals.std() <= 0.21
 
 
 def test_one_over_f_stationary_mean():
-    rng = np.random.default_rng(7)
-    vals = np.concatenate(
-        [sample_one_over_f(OF, 2, rng).delta.ravel() for _ in range(400)]
-    )
+    vals = np.concatenate([r.delta.ravel() for r in make_ensemble(OF, 2, 400, seed=7)])
     assert abs(vals.mean()) < 3.0 * 0.2 / np.sqrt(vals.size)
 
 
@@ -270,7 +293,7 @@ def test_periodogram_exponent():
 def test_perturb_angles():
     # the kernel applies eta -> eta * (1 + delta_eta) to U only; with no
     # slice noise U is the target of the perturbed angles
-    real = sample_quasistatic(replace(QS, sigma_nonlocal=0.0), 2, np.random.default_rng(9))
+    (real,) = make_ensemble(replace(QS, sigma_nonlocal=0.0), 2, 1, seed=9)
     angles = np.arange(12.0)
 
     def gates(x):

@@ -1,7 +1,7 @@
 import json
 from pathlib import Path
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -27,6 +27,8 @@ from entseq.optimizer import (
 )
 from entseq.sequence_engine import SequenceParams, evaluate_solution, gate_error
 from entseq.weyl_geometry import pe_functional_many
+
+from oracles import any_value
 
 QS = NoiseConfig(seed=11)
 BENCH_INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
@@ -187,6 +189,18 @@ def optimizer_configs(draw):
 @settings(deadline=None)
 @given(optimizer_configs())
 def test_config_dict_json_round_trip(config):
+    assert OptimizerConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+
+@settings(deadline=None)
+@given(st.sampled_from([f.name for f in fields(OptimizerConfig)]), any_value)
+def test_config_field_values_raise_only_value_or_type_errors(name, value):
+    # any value in any one field: a config that round-trips, or a ValueError
+    # or TypeError, never another exception
+    try:
+        config = OptimizerConfig(**{name: value})
+    except (ValueError, TypeError):
+        return
     assert OptimizerConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
 

@@ -10,7 +10,6 @@ from entseq.noise_model import (
     ONE_OVER_F,
     QUASISTATIC,
     make_ensemble,
-    sample_quasistatic,
 )
 from entseq.sequence_engine import (
     SequenceParams,
@@ -36,7 +35,7 @@ def zero_params(N):
 def single_channel_realization(N, x):
     """delta_33 = x on the (Z, Z) channel only, constant across segments."""
     delta = np.full((N, 1), x)
-    return NoiseRealization(delta, np.zeros((N, 6)), ((3, 3),), QUASISTATIC)
+    return NoiseRealization(delta, np.zeros((N, 6)), ((3, 3),))
 
 
 def test_params_validation():
@@ -79,9 +78,7 @@ def test_evolve_zero_noise_equals_target():
     rng = np.random.default_rng(1)
     for N in (1, 3, 6):
         params = SequenceParams(N, rng.uniform(-np.pi, np.pi, 6 * N))
-        real = NoiseRealization(
-            np.zeros((N, 1)), np.zeros((N, 6)), ((3, 3),), QUASISTATIC
-        )
+        real = NoiseRealization(np.zeros((N, 1)), np.zeros((N, 6)), ((3, 3),))
         U, _ = ensemble_gates(params.angles, *ensemble_slices([real]))
         assert np.allclose(U[0], target_gate(params), atol=1e-12)
 
@@ -118,9 +115,13 @@ def test_evolve_is_unitary():
 
 
 def test_evolve_rejects_segment_mismatch():
-    real = sample_quasistatic(QS, 3, np.random.default_rng(0))
+    real = make_ensemble(QS, 3, 1)
     with pytest.raises(ValueError):
-        ensemble_gates(zero_params(2).angles, *ensemble_slices([real]))
+        ensemble_gates(zero_params(2).angles, *ensemble_slices(real))
+    # members that disagree in segment count or in channels
+    for other in (make_ensemble(QS, 2, 1), make_ensemble(replace(QS, channels=((3, 3),)), 3, 1)):
+        with pytest.raises(ValueError):
+            ensemble_slices(real + other)
 
 
 @pytest.mark.parametrize("kind", [QUASISTATIC, ONE_OVER_F])
@@ -169,10 +170,18 @@ def test_vjp_matches_central_differences(kind):
 def test_ensemble_slices_rejects_mixed_ensembles():
     a = make_ensemble(QS, 2, 2)
     mixed_channels = make_ensemble(replace(QS, channels=ALL_CHANNELS), 2, 1)
-    mixed_kind = make_ensemble(replace(QS, kind=ONE_OVER_F), 2, 1)
-    for other in (mixed_channels, mixed_kind):
+    mixed_segments = make_ensemble(QS, 3, 1)
+    for other in (mixed_channels, mixed_segments):
         with pytest.raises(ValueError):
             ensemble_slices(a + other)
+    # the layout reads the coefficients, not the noise kind: members of both
+    # kinds lay out as they do alone
+    b = make_ensemble(replace(QS, kind=ONE_OVER_F), 2, 1)
+    factors, delta_eta = ensemble_slices(a + b)
+    for lo, hi, part in ((0, 2, a), (2, 3, b)):
+        alone = ensemble_slices(part)
+        assert np.allclose(factors[lo:hi], alone[0][:-1], rtol=0, atol=1e-14)
+        assert np.array_equal(delta_eta[lo:hi], alone[1][:-1])
 
 
 def test_gate_error_trivials():
