@@ -30,7 +30,8 @@ import numpy as np
 
 from .noise_model import (ONE_OVER_F, SCHEMA_VERSION, NoiseConfig, fluctuator_weights, is_int,
                           is_real, make_ensemble)
-from .optimizer import OptimizerConfig, ascending_lengths, cascade_optimize, derived_seed
+from .optimizer import (OptimizerConfig, ascending_lengths, cascade_optimize, derived_seed,
+                        write_atomic)
 from .sequence_engine import (
     SequenceParams,
     calibrate_amplitude,
@@ -85,12 +86,21 @@ def load_document(path, what):
     return doc
 
 
+def _output_dir(out):
+    """``out``, created as a directory when set; an OSError is a configuration error."""
+    if out:
+        try:
+            Path(out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    return out
+
+
 def _write_report(payload, out, name):
     """``payload`` as JSON text, also written to ``out/name`` when ``out`` is set."""
     text = json.dumps(payload, indent=1, sort_keys=True)
     if out:
-        Path(out).mkdir(parents=True, exist_ok=True)
-        Path(out, name).write_text(text)
+        write_atomic(Path(out, name), text)
     return text
 
 
@@ -127,20 +137,17 @@ def cmd_optimize(args):
         raise ConfigError("optimize requires N_list in the experiment config")
     with _refused("N_list"):
         n_list = ascending_lengths(sorted(n_list))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(_output_dir(args.out))
 
     def progress(msg):
         print(msg, flush=True)
 
     results = cascade_optimize(n_list, noise, opt, out=out, progress=progress)
-    csv_path = out / "optimize_summary.csv"
-    with csv_path.open("w") as fh:
-        fh.write("N,epsilon_uncorrected,epsilon_optimized,epsilon_pe,iterations,wall_time_s\n")
-        for res in results:
-            m = res.final_metrics
-            fh.write(f"{res.params.N},{_fmt(res.epsilon_uncorrected)},{_fmt(m.epsilon)},"
-                     f"{_fmt(m.epsilon_pe)},{res.iterations},{res.wall_time_s:.3f}\n")
+    csv_path = write_atomic(out / "optimize_summary.csv", "".join(
+        ["N,epsilon_uncorrected,epsilon_optimized,epsilon_pe,iterations,wall_time_s\n"]
+        + [f"{res.params.N},{_fmt(res.epsilon_uncorrected)},{_fmt(res.final_metrics.epsilon)},"
+           f"{_fmt(res.final_metrics.epsilon_pe)},{res.iterations},{res.wall_time_s:.3f}\n"
+           for res in results]))
     print(f"wrote {csv_path} and {len(results)} solution files to {out}")
     if len(results) != len(n_list):
         return 2
@@ -174,8 +181,7 @@ def cmd_contour(args):
     sig_loc = _grid_axis(grid, "sigma_local", (1e-3, 0.1, 5))
     sig_nl = _grid_axis(grid, "sigma_nonlocal", (1e-2, 0.4, 5))
     M = _count(grid, "M", 100)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(_output_dir(args.out))
 
     points = [(i, j) for i in range(sig_loc.size) for j in range(sig_nl.size)]
 
@@ -188,11 +194,9 @@ def cmd_contour(args):
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
         eps = list(pool.map(eval_point, points))
 
-    csv_path = out / "contour.csv"
-    with csv_path.open("w") as fh:
-        fh.write("sigma_local,sigma_nonlocal,epsilon\n")
-        for (i, j), e in zip(points, eps):
-            fh.write(f"{_fmt(sig_loc[i])},{_fmt(sig_nl[j])},{_fmt(e)}\n")
+    csv_path = write_atomic(out / "contour.csv", "".join(
+        ["sigma_local,sigma_nonlocal,epsilon\n"]
+        + [f"{_fmt(sig_loc[i])},{_fmt(sig_nl[j])},{_fmt(e)}\n" for (i, j), e in zip(points, eps)]))
     print(f"wrote {csv_path}")
     return 0
 
@@ -221,6 +225,7 @@ def cmd_evaluate(args):
     if args.stored_seeds:
         with _refused("seeds.ensemble_seed"):
             sampled = replace(noise, seed=_stored(sol_doc, "seeds", "ensemble_seed"))
+    _output_dir(args.out)
     metrics = evaluate_solution(params, make_ensemble(sampled, params.N, M))
     payload = {
         "N": params.N,
@@ -246,6 +251,7 @@ def _pauli_vector_line(k):
 
 def cmd_decompose(args):
     params, _ = load_solution(args.solution)
+    _output_dir(args.out)
     U = target_gate(params)
     try:
         k1, c, k2 = cartan_decompose(U)
@@ -280,6 +286,7 @@ def cmd_calibrate(args):
     target = args.target if args.target is not None else doc.get("target_error", 0.1)
     N = _count(doc, "N", 4)
     M = _count(doc, "M", 200)
+    _output_dir(args.out)
     try:
         with _refused("calibration"):
             sigma = calibrate_amplitude(target, noise, N, M)

@@ -1,4 +1,4 @@
-"""Ensemble-averaged objective, its exact gradient, bounded quasi-Newton
+"""Ensemble-averaged objective, its exact gradient, unconstrained quasi-Newton
 minimization, and the divisor-cascade initialization across sequence lengths.
 
 The objective for a frozen noise ensemble is
@@ -76,7 +76,6 @@ class OptimizerConfig:
     tol_gradJ: float = 2.2e-6
     max_iterations: int = 15000
     history_size: int = 10
-    bounds: tuple | None = None       # optional (lo, hi) box per angle
     polish_rounds: int = 6
     n_kicks: int = 16
     kick_scales: tuple = (0.02, 0.05, 0.15)
@@ -98,24 +97,18 @@ class OptimizerConfig:
         if not (self.kick_scales
                 and all(noise_model.is_real(v) and v > 0 for v in self.kick_scales)):
             raise ValueError("kick_scales must be nonempty, finite and positive")
-        if self.bounds is not None:
-            self.bounds = tuple(self.bounds)
-            lo, hi = self.bounds
-            if not (all(map(noise_model.is_real, self.bounds)) and lo < hi):
-                raise ValueError("bounds must be finite numbers with lo < hi")
 
     def to_dict(self):
-        return {
-            **asdict(self),
-            "bounds": list(self.bounds) if self.bounds is not None else None,
-            "kick_scales": list(self.kick_scales),
-        }
+        return {**asdict(self), "kick_scales": list(self.kick_scales)}
 
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
-        # configs written before the gradient was exact carry a step size
+        # configs written before the gradient was exact carry a step size,
+        # and those written while a descent could take a box carry its null
         d.pop("fd_step", None)
+        if d.pop("bounds", None) is not None:
+            raise ValueError("bounds are not supported: every descent is unconstrained")
         return cls(**d)
 
 
@@ -244,16 +237,11 @@ def _lbfgs(obj, x0, config, d_weight=1.0):
     def accept(intermediate_result):
         history.append(intermediate_result.fun)
 
-    bounds = None
-    if config.bounds is not None:
-        lo, hi = config.bounds
-        bounds = [(lo, hi)] * np.asarray(x0).size
     res = scipy.optimize.minimize(
         fun,
         x0,
         jac=True,
         method="L-BFGS-B",
-        bounds=bounds,
         callback=accept,
         options={
             "ftol": config.tol_J,
@@ -355,21 +343,26 @@ def initialize_guess(N, solved):
     return SequenceParams(N, np.zeros(6 * N))
 
 
-def write_solution(out, result):
-    """Write ``result`` to ``out/solution_<kind>_N<NNN>.json`` and return the
+def write_atomic(path, text):
+    """Write ``text`` to ``path``, creating its directory, and return the
     path.  The file is replaced atomically, so an interrupted write leaves
     the previous file intact."""
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    kind = result.config["noise"]["kind"]
-    path = out / f"solution_{kind}_N{result.params.N:03d}.json"
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(f".{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps(result.to_dict(), indent=1, sort_keys=True))
+        tmp.write_text(text)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
     return path
+
+
+def write_solution(out, result):
+    """Write ``result`` to ``out/solution_<kind>_N<NNN>.json`` and return the path."""
+    kind = result.config["noise"]["kind"]
+    return write_atomic(Path(out, f"solution_{kind}_N{result.params.N:03d}.json"),
+                        json.dumps(result.to_dict(), indent=1, sort_keys=True))
 
 
 def derived_seed(root_seed, *key):

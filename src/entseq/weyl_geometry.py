@@ -18,7 +18,7 @@ perfect-entangler measures) depends only on ``g2**2``.
 
 import numpy as np
 
-from .gate_algebra import SIGMA_X, SIGMA_Y, SIGMA_Z, is_unitary
+from .gate_algebra import is_unitary
 
 MAGIC = np.array(
     [

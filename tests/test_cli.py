@@ -1,4 +1,6 @@
 import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,8 @@ def test_config_errors_exit_1(tmp_path, capsys):
             {"noise": {**noise, "channels": [[1.9, 2]]}},
             {"noise": {**noise, "sigma_nonlocal": True}},
             {"optimizer": {**opt, "tol_J": True}},
+            # every descent is unconstrained; a box is refused, not ignored
+            {"optimizer": {**opt, "bounds": [-1.0, 1.0]}},
             # the default band cannot reach this 1/f exponent
             {"noise": {**noise, "kind": "one_over_f", "alpha": 2.0}},
             {"N_list": ["a", 2]}]):
@@ -338,9 +342,82 @@ def test_config_errors_exit_1(tmp_path, capsys):
     for name in ("top_list", "N_float", "N_bool"):
         argvs.append(["evaluate", "--solution", solutions[name]])
         argvs.append(["decompose", "--solution", solutions[name]])
+    # an --out that cannot be made a directory is refused before anything runs
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    good_sol = write_spec(tmp_path, stored, "sol_good.json")
+    argvs += [["optimize", "--config", good, "--out", str(taken)],
+              ["contour", "--config", grid, "--solution", good_sol, "--out", str(taken)],
+              ["evaluate", "--solution", good_sol, "--out", str(taken)],
+              ["decompose", "--solution", good_sol, "--out", str(taken / "sub")],
+              ["calibrate", "--config", grid, "--out", str(taken)]]
     for argv in argvs:
         assert run(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error:"), argv
+    assert taken.read_text() == ""
+
+
+def test_calibrate_unreachable_target_is_a_numerical_failure(tmp_path, capsys):
+    # ZZ noise alone gives the error E[sin^2 delta] <= (1 - e^-8) / 2 for any
+    # amplitude up to CALIBRATION_MAX_SIGMA, so 0.4999 cannot be bracketed
+    spec = {"schema_version": 1, "noise": NoiseConfig(channels=[[3, 3]], seed=13).to_dict(),
+            "N": 2, "M": 200}
+    cfg = write_spec(tmp_path, spec, "zz.json")
+    out = tmp_path / "cal"
+    assert run(["calibrate", "--config", cfg, "--target", "0.4999", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("calibration failed")
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+def test_failed_write_keeps_previous_outputs(solution_dir, tmp_path, monkeypatch):
+    # a write that fails part-way leaves the previous contour CSV and report
+    # whole, and no temporary file behind
+    sol = str(solution_dir / "solution_quasistatic_N002.json")
+    spec = {"schema_version": 1, "noise": NoiseConfig(seed=7).to_dict(),
+            "grid": {"sigma_local": [1e-3, 1e-3, 1], "sigma_nonlocal": [0.05, 0.2, 2], "M": 5},
+            "M": 5}
+    cfg = write_spec(tmp_path, spec, "grid.json")
+    out = tmp_path / "out"
+    argvs = [["contour", "--config", cfg, "--solution", sol, "--out", str(out)],
+             ["evaluate", "--config", cfg, "--solution", sol, "--out", str(out)]]
+    for argv in argvs:
+        assert run(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["contour.csv", "evaluation.json"]
+
+    class HalfWriter:
+        """A file opened for writing that takes half of the first text, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise OSError("disk full")
+
+    open_path = Path.open
+
+    def open_failing_writes(self, mode="r", *args, **kwargs):
+        fh = open_path(self, mode, *args, **kwargs)
+        return HalfWriter(fh) if "w" in mode else fh
+
+    # another seed, so that each output would change
+    moved = write_spec(tmp_path, {**spec, "noise": NoiseConfig(seed=8).to_dict()}, "moved.json")
+    monkeypatch.setattr(Path, "open", open_failing_writes)
+    for argv in argvs:
+        argv[2] = moved
+        with pytest.raises(OSError, match="disk full"):
+            run(argv)
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_threads_only_on_contour():

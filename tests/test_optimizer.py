@@ -149,8 +149,6 @@ def test_gradient_synthetic_quadratic():
     {"kick_scales": ()},
     {"kick_scales": (0.1, float("nan"))},
     {"kick_scales": (0.1, 0.0)},
-    {"bounds": (1.0, -1.0)},
-    {"bounds": (-np.inf, 1.0)},
     {"ensemble_size": 2.5},
     {"history_size": 10.0},
     {"max_iterations": 1.5},
@@ -158,28 +156,24 @@ def test_gradient_synthetic_quadratic():
     {"n_kicks": 2.5},
     {"tol_J": True},
     {"kick_scales": (True,)},
-    {"bounds": (0.0, True)},
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
         OptimizerConfig(**bad)
-    OptimizerConfig(n_kicks=0, bounds=(-1.0, 1.0))  # edge values that are fine
+    OptimizerConfig(n_kicks=0)  # an edge value that is fine
 
 
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
 def optimizer_configs(draw):
-    bounds = draw(st.none() | st.tuples(finite, finite).filter(lambda b: b[0] < b[1]))
     return OptimizerConfig(
         ensemble_size=draw(st.integers(1, 10**6)),
         tol_J=draw(positive),
         tol_gradJ=draw(positive),
         max_iterations=draw(st.integers(1, 10**6)),
         history_size=draw(st.integers(1, 1000)),
-        bounds=bounds,
         polish_rounds=draw(st.integers(1, 100)),
         n_kicks=draw(st.integers(0, 1000)),
         kick_scales=tuple(draw(st.lists(positive, min_size=1, max_size=5))),
@@ -206,20 +200,25 @@ def test_config_field_values_raise_only_value_or_type_errors(name, value):
 
 def test_config_sequences_normalized_to_tuples():
     assert OptimizerConfig(kick_scales=[0.02, 0.05, 0.15]) == OptimizerConfig()
-    assert OptimizerConfig(bounds=[-1.0, 1.0]) == OptimizerConfig(bounds=(-1.0, 1.0))
 
 
 def test_config_from_dict_drops_legacy_fd_step():
     # configs and solution files written with the forward-difference
-    # gradient carry its step size
+    # gradient carry its step size, and those written while a descent could
+    # take a box carry "bounds": null
     d = OptimizerConfig(n_kicks=3).to_dict()
-    assert "fd_step" not in d
+    assert "fd_step" not in d and "bounds" not in d
     assert OptimizerConfig.from_dict({**d, "fd_step": 1e-7}) == OptimizerConfig(n_kicks=3)
+    assert OptimizerConfig.from_dict({**d, "bounds": None}) == OptimizerConfig(n_kicks=3)
+    # a box would change what the descent does, so it is refused, not dropped
+    for bounds in ([-1.0, 1.0], [], 0.0, False):
+        with pytest.raises(ValueError, match="bounds"):
+            OptimizerConfig.from_dict({**d, "bounds": bounds})
     for name in ("qs_cascade.json", "onef_cascade.json"):
         doc = json.loads((BENCH_INPUTS / name).read_text())
-        assert "fd_step" in doc["optimizer"]
+        assert "fd_step" in doc["optimizer"] and doc["optimizer"]["bounds"] is None
         assert OptimizerConfig.from_dict(doc["optimizer"]).to_dict() == {
-            k: v for k, v in doc["optimizer"].items() if k != "fd_step"}
+            k: v for k, v in doc["optimizer"].items() if k not in ("fd_step", "bounds")}
 
 
 def test_relative_decrease_formula():
@@ -270,15 +269,6 @@ def test_minimize_history_matches_objective():
         SequenceObjective(ensemble).value(np.full(12, 0.2))
     )
     assert res.J <= res.history[0]
-
-
-def test_minimize_respects_bounds():
-    ensemble = make_ensemble(QS, 2, 5)
-    config = OptimizerConfig(ensemble_size=5, bounds=(-0.5, 0.5), max_iterations=50)
-    obj = SequenceObjective(ensemble)
-    res = _lbfgs(obj, np.zeros(12), config)
-    assert np.all(res.x >= -0.5 - 1e-12)
-    assert np.all(res.x <= 0.5 + 1e-12)
 
 
 class BiasedGradient(SequenceObjective):

@@ -1,5 +1,6 @@
-"""The package's module graph: what ``import entseq.cli`` loads, and where
-the import statements under ``src/entseq`` sit."""
+"""The package's module graph: what ``import entseq.cli`` loads, where the
+import statements under ``src/entseq`` sit and that each is used, and where
+the package writes files."""
 
 import ast
 import os
@@ -38,3 +39,29 @@ def test_imports_sit_at_module_top_and_point_one_way():
         leaves = {m for m, deps in graph.items() if not deps & graph.keys()}
         assert leaves, f"import cycle among {sorted(graph)}"
         graph = {m: deps for m, deps in graph.items() if m not in leaves}
+
+
+def test_every_imported_name_is_used():
+    # __init__ imports to re-export; every other module uses what it imports
+    for path in MODULES:
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"
+
+
+def test_files_are_written_only_by_write_atomic():
+    # one writer, which replaces each output atomically
+    writers = {"open", "write_text", "write_bytes"}
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        owner = {id(node): fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn)}
+        calls = [(node.lineno, owner.get(id(node))) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "attr", getattr(node.func, "id", None)) in writers]
+        assert all(fn == "write_atomic" for _, fn in calls), f"{path.name}: {calls}"

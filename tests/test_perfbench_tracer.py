@@ -1,13 +1,16 @@
 """The benchmark tracer wraps package functions and objective methods by
-name; a rename or deletion would only fail when ``--trace 1`` installs it."""
+name, and the benchmark scripts import package names; a rename or deletion
+would only fail when a benchmark round runs."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 from entseq.optimizer import SequenceObjective
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _load_tracer():
@@ -23,3 +26,15 @@ def test_traced_names_exist():
         assert hasattr(importlib.import_module(modname), attr), f"{modname}.{attr}"
     for attr, _ in tracer.METHODS:
         assert attr in vars(SequenceObjective), f"SequenceObjective.{attr}"
+
+    # every ``from entseq... import name`` in the benchmark scripts resolves
+    imports = [(node.module, alias.name)
+               for path in sorted(PERFBENCH.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom) and node.level == 0
+               and node.module.split(".")[0] == "entseq"
+               for alias in node.names]
+    assert ("entseq.cli", "noise_from_spec") in imports
+    assert ("entseq.noise_model", "make_ensemble") in imports
+    for modname, attr in imports:
+        assert hasattr(importlib.import_module(modname), attr), f"{modname}.{attr}"
