@@ -87,8 +87,10 @@ def load_document(path, what):
 
 
 def _output_dir(out):
-    """``out``, created as a directory when set; an OSError is a configuration error."""
-    if out:
+    """``out``, created as a directory unless None; "" or an OSError is a configuration error."""
+    if out == "":
+        raise ConfigError("--out must name a directory, got an empty string")
+    if out is not None:
         try:
             Path(out).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -326,9 +328,9 @@ def build_parser():
                         help="output directory" if default else
                         "output directory (reports go to stdout when omitted)")
 
-    def common(sp, config_required=True, out_default="out"):
+    def common(sp, config_required=True, out_default="out", seeds=None):
         sp.add_argument("--config", required=config_required, help="experiment spec JSON")
-        sp.add_argument("--seed", type=int, default=None, help="override the root seed")
+        (seeds or sp).add_argument("--seed", type=int, default=None, help="override the root seed")
         output(sp, out_default)
 
     sp = sub.add_parser("optimize", help="cascade-optimize sequence lengths")
@@ -343,10 +345,11 @@ def build_parser():
     sp.set_defaults(func=cmd_contour)
 
     sp = sub.add_parser("evaluate", help="evaluate a solution under a noise config")
-    common(sp, config_required=False, out_default=None)
+    seeds = sp.add_mutually_exclusive_group()
+    common(sp, config_required=False, out_default=None, seeds=seeds)
     sp.add_argument("--solution", required=True)
-    sp.add_argument("--stored-seeds", action="store_true",
-                    help="reuse the ensemble seed recorded in the solution file")
+    seeds.add_argument("--stored-seeds", action="store_true",
+                       help="reuse the ensemble seed recorded in the solution file")
     sp.set_defaults(func=cmd_evaluate)
 
     sp = sub.add_parser("decompose", help="Cartan-decomposition report of a solution")

@@ -23,6 +23,7 @@ independent of evaluation order and worker count.
 """
 
 import functools
+import json
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -52,16 +53,25 @@ def is_real(v):
             and abs(v) <= sys.float_info.max)
 
 
+def without_retired(d, **fixed):
+    """Block ``d`` without the retired keys ``fixed`` (key=value it is fixed at): one
+    whose JSON text is its fixed value's is dropped, any other value is a ValueError."""
+    for key, value in fixed.items():
+        if key in d and json.dumps(d[key]) != json.dumps(value):
+            raise ValueError(f"{key} is no longer a setting; it is fixed at {json.dumps(value)}")
+    return {k: v for k, v in d.items() if k not in fixed}
+
+
 @dataclass
 class NoiseConfig:
-    """Noise model parameters.  Time is absolute: the gate spans
-    ``[0, gate_time_T]`` and the fluctuator rates are per unit of that time."""
+    """Noise model parameters.  Time is in units of the gate time: the gate
+    spans ``[0, 1]``, segment n of N reads its noise in ``[n/N, (n+1)/N]``,
+    and the fluctuator rates ``nu_min``, ``nu_max`` are per gate time."""
 
     kind: str = QUASISTATIC
     sigma_nonlocal: float = 0.13
     sigma_local: float = 0.0
     alpha: float = 0.7
-    gate_time_T: float = 1.0
     n_fluctuators: int = 10
     nu_min: float = 1.0 / 20.0
     nu_max: float = 5.0
@@ -73,8 +83,6 @@ class NoiseConfig:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if not all(is_real(v) and v >= 0 for v in (self.sigma_nonlocal, self.sigma_local)):
             raise ValueError("noise amplitudes must be finite numbers >= 0")
-        if not (is_real(self.gate_time_T) and self.gate_time_T > 0):
-            raise ValueError("gate_time_T must be a finite positive number")
         if not is_real(self.alpha):
             raise ValueError("alpha must be a finite number")
         if not (is_real(self.nu_min) and is_real(self.nu_max) and 0 < self.nu_min < self.nu_max):
@@ -106,7 +114,7 @@ class NoiseConfig:
         version = d.pop("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported NoiseConfig schema version {version}")
-        return cls(**d)
+        return cls(**without_retired(d, gate_time_T=1.0))
 
 
 @dataclass
@@ -222,8 +230,8 @@ def make_ensemble(config, N, M, seed=None):
     """
     seed = config.seed if seed is None else seed
     C = len(config.channels)
-    lo = np.arange(N) * config.gate_time_T / N
-    hi = lo + config.gate_time_T / N
+    lo = np.arange(N) / N
+    hi = lo + 1 / N
     ensemble = []
     for m in range(M):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(m,)))

@@ -20,7 +20,7 @@ the cotangents back through the same chain to the angles, so a gradient
 costs a few evaluations of J, whatever N.
 The termination conditions map one-to-one onto L-BFGS-B's ``ftol``
 (relative J decrease with the max{|J_k|, |J_k+1|, 1} denominator) and
-``pgtol`` (projected-gradient max-norm).
+``pgtol`` (projected-gradient max-norm), fixed at ``TOL_J`` and ``TOL_GRADJ``.
 
 ``cascade_optimize`` adds a deterministic globalization layer on top of the
 plain descent: repeated descents until the relative-decrease test fails
@@ -68,48 +68,39 @@ PE_TARGET = 1e-8
 PE_J_MARGIN = 1.15
 PE_REPAIR_WEIGHTS = (4.0, 16.0, 64.0)
 
+# L-BFGS-B's tolerances (TOL_J also ends polishing), iteration cap and memory,
+# and the kick scales: every config held these values while they were settings
+TOL_J = 2.2e-6
+TOL_GRADJ = 2.2e-6
+MAX_ITERATIONS = 15000
+HISTORY_SIZE = 10
+KICK_SCALES = (0.02, 0.05, 0.15)
+
 
 @dataclass
 class OptimizerConfig:
     ensemble_size: int = 100
-    tol_J: float = 2.2e-6
-    tol_gradJ: float = 2.2e-6
-    max_iterations: int = 15000
-    history_size: int = 10
     polish_rounds: int = 6
     n_kicks: int = 16
-    kick_scales: tuple = (0.02, 0.05, 0.15)
 
     def __post_init__(self):
-        self.kick_scales = tuple(self.kick_scales)
-        if not all(noise_model.is_real(v) and v > 0 for v in (self.tol_J, self.tol_gradJ)):
-            raise ValueError("tol_J and tol_gradJ must be finite positive numbers")
-        counts = (self.ensemble_size, self.history_size, self.max_iterations,
-                  self.polish_rounds, self.n_kicks)
+        counts = (self.ensemble_size, self.polish_rounds, self.n_kicks)
         if not all(noise_model.is_int(v) for v in counts):
             raise ValueError("count fields must be integers")
-        if min(counts[:4]) < 1:
-            raise ValueError(
-                "ensemble_size, history_size, max_iterations and polish_rounds must be >= 1"
-            )
-        if self.n_kicks < 0:
-            raise ValueError("n_kicks must be >= 0")
-        if not (self.kick_scales
-                and all(noise_model.is_real(v) and v > 0 for v in self.kick_scales)):
-            raise ValueError("kick_scales must be nonempty, finite and positive")
+        if min(counts[:2]) < 1 or self.n_kicks < 0:
+            raise ValueError("ensemble_size and polish_rounds must be >= 1, n_kicks >= 0")
 
     def to_dict(self):
-        return {**asdict(self), "kick_scales": list(self.kick_scales)}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
-        # configs written before the gradient was exact carry a step size,
-        # and those written while a descent could take a box carry its null
+        # configs written before the gradient was exact carry a step size
         d.pop("fd_step", None)
-        if d.pop("bounds", None) is not None:
-            raise ValueError("bounds are not supported: every descent is unconstrained")
-        return cls(**d)
+        return cls(**noise_model.without_retired(
+            d, bounds=None, tol_J=TOL_J, tol_gradJ=TOL_GRADJ, max_iterations=MAX_ITERATIONS,
+            history_size=HISTORY_SIZE, kick_scales=KICK_SCALES))
 
 
 @dataclass
@@ -198,7 +189,7 @@ def relative_decrease(J_prev, J_next):
     return (J_prev - J_next) / max(abs(J_prev), abs(J_next), 1.0)
 
 
-def classify_termination(message, nit, max_iterations):
+def classify_termination(message, nit):
     """Map an L-BFGS-B status message onto the two tolerance conditions."""
     msg = message.decode() if isinstance(message, bytes) else str(message)
     msg = msg.upper()
@@ -206,7 +197,7 @@ def classify_termination(message, nit, max_iterations):
         return TERM_TOL_GRADJ
     if "REDUCTION OF F" in msg or "FACTR" in msg:
         return TERM_TOL_J
-    if "ITERATIONS" in msg or nit >= max_iterations:
+    if "ITERATIONS" in msg or nit >= MAX_ITERATIONS:
         return TERM_MAX_ITER
     return TERM_LINE_SEARCH
 
@@ -223,7 +214,7 @@ class Descent:
     history: list
 
 
-def _lbfgs(obj, x0, config, d_weight=1.0):
+def _lbfgs(obj, x0, d_weight=1.0):
     """One L-BFGS-B descent from x0."""
     history = []
 
@@ -244,10 +235,10 @@ def _lbfgs(obj, x0, config, d_weight=1.0):
         method="L-BFGS-B",
         callback=accept,
         options={
-            "ftol": config.tol_J,
-            "gtol": config.tol_gradJ,
-            "maxiter": config.max_iterations,
-            "maxcor": config.history_size,
+            "ftol": TOL_J,
+            "gtol": TOL_GRADJ,
+            "maxiter": MAX_ITERATIONS,
+            "maxcor": HISTORY_SIZE,
         },
     )
     # res.x is the last accepted iterate (x0 if none was); after a
@@ -262,9 +253,9 @@ def _polish(obj, x0, config, log, d_weight=1.0):
     x = np.asarray(x0, dtype=float)
     best = None
     for _ in range(config.polish_rounds):
-        res = _lbfgs(obj, x, config, d_weight)
+        res = _lbfgs(obj, x, d_weight)
         log.append(res)
-        if best is not None and relative_decrease(best.J, res.J) <= config.tol_J:
+        if best is not None and relative_decrease(best.J, res.J) <= TOL_J:
             return res if res.J < best.J else best
         best = res
         x = res.x
@@ -306,7 +297,7 @@ def _search(obj, inits, config, rng, log):
         consider(_polish(obj, x0, config, log))
     n = start_points[0].size
     for k in range(config.n_kicks):
-        scale = config.kick_scales[k % len(config.kick_scales)]
+        scale = KICK_SCALES[k % len(KICK_SCALES)]
         kick = rng.normal(0.0, scale, n)
         if k % 3 == 2:
             # restrict every third kick to a random half of the segments
@@ -418,9 +409,7 @@ def cascade_optimize(N_list, noise_config, optimizer_config, out=None,
                 J_history=[J for d in descents for J in d.history],
                 final_metrics=obj.metrics(best.x),
                 iterations=sum(d.nit for d in descents),
-                termination_reason=classify_termination(
-                    best.message, best.nit, optimizer_config.max_iterations
-                ),
+                termination_reason=classify_termination(best.message, best.nit),
                 config={
                     "optimizer": optimizer_config.to_dict(),
                     "noise": noise_config.to_dict(),

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from entseq import noise_model
-from entseq.cli import main
+from entseq.cli import _grid_axis, _record, load_document, main, noise_from_spec
 from entseq.noise_model import NoiseConfig
-from entseq.optimizer import OptimizerConfig
+from entseq.optimizer import OptimizerConfig, ascending_lengths
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_spec(seed=7, n_list=(2,)):
@@ -88,6 +90,48 @@ def test_evaluate_stored_seeds_reproduce_metrics(solution_dir, tmp_path, capsys)
     stored = json.loads(sol.read_text())
     assert payload["epsilon"] == pytest.approx(stored["epsilon"], abs=1e-15)
     assert payload["epsilon_pe"] == pytest.approx(stored["epsilon_pe"], abs=1e-15)
+
+
+# the six keys that left the config records, at the values every config held
+RETIRED = {"optimizer": {"tol_J": 2.2e-6, "tol_gradJ": 2.2e-6, "max_iterations": 15000,
+                         "history_size": 10, "kick_scales": [0.02, 0.05, 0.15]},
+           "noise": {"gate_time_T": 1.0}}
+
+
+def test_evaluate_stored_seeds_on_a_file_with_retired_keys(solution_dir, tmp_path, capsys):
+    # a solution file written while the retired keys were settings still
+    # reproduces its stored error; one that asked for another value is refused
+    doc = json.loads((solution_dir / "solution_quasistatic_N002.json").read_text())
+    for block, keys in RETIRED.items():
+        doc["config"][block].update(keys)
+    old = write_spec(tmp_path, doc, "old.json")
+    assert run(["evaluate", "--solution", old, "--stored-seeds"]) == 0
+    assert json.loads(capsys.readouterr().out)["epsilon"] == doc["epsilon"]
+    for block, keys in RETIRED.items():
+        for key, value in keys.items():
+            edited = json.loads(json.dumps(doc))
+            edited["config"][block][key] = value[:2] if key == "kick_scales" else value * 2
+            path = write_spec(tmp_path, edited, f"old_{key}.json")
+            assert run(["evaluate", "--solution", path, "--stored-seeds"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and key in err
+
+
+COMMITTED = sorted([*ROOT.glob("configs/*.json"), *ROOT.glob("perfbench/inputs/*.json")])
+
+
+@pytest.mark.parametrize("path", COMMITTED, ids=[f"{p.parent.name}/{p.name}" for p in COMMITTED])
+def test_committed_configs_load(path):
+    # each block through the loader its command uses; the benchmark inputs
+    # still carry the retired keys at their fixed values
+    doc = load_document(path, "config file")
+    noise_from_spec(doc)
+    _record(OptimizerConfig, doc, "optimizer")
+    if "N_list" in doc:
+        ascending_lengths(doc["N_list"])
+    if "grid" in doc:
+        for name in ("sigma_local", "sigma_nonlocal"):
+            _grid_axis(doc["grid"], name, None)
 
 
 def test_evaluate_zero_noise_override(solution_dir, tmp_path, capsys):
@@ -237,7 +281,7 @@ def test_calibrate_command(tmp_path, capsys):
     assert payload["calibrated_sigma_nonlocal"] > 0.1
 
 
-def test_config_errors_exit_1(tmp_path, capsys):
+def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
     missing = str(tmp_path / "nope.json")
     assert run(["optimize", "--config", missing, "--out", str(tmp_path)]) == 1
     bad = tmp_path / "bad.json"
@@ -253,7 +297,6 @@ def test_config_errors_exit_1(tmp_path, capsys):
     noise, opt = small_spec()["noise"], small_spec()["optimizer"]
     for i, edit in enumerate([
             {"noise": {**noise, "sigma_nonlocal": float("nan")}},
-            {"optimizer": {**opt, "kick_scales": []}},
             {"noise": {**noise, "channels": [[4, 1]]}},
             {"noise": {**noise, "channels": [[1, 1], [1, 1]]}},
             {"noise": {**noise, "kind": "one_over_f", "n_fluctuators": 2.5}},
@@ -269,9 +312,13 @@ def test_config_errors_exit_1(tmp_path, capsys):
             {"noise": 0},
             {"noise": {**noise, "channels": [[1.9, 2]]}},
             {"noise": {**noise, "sigma_nonlocal": True}},
-            {"optimizer": {**opt, "tol_J": True}},
-            # every descent is unconstrained; a box is refused, not ignored
+            # a retired key at another value than its constant is refused,
+            # not ignored: every descent is unconstrained, for one
             {"optimizer": {**opt, "bounds": [-1.0, 1.0]}},
+            {"optimizer": {**opt, "kick_scales": []}},
+            {"optimizer": {**opt, "tol_J": True}},
+            {"optimizer": {**opt, "history_size": 10.0}},
+            {"noise": {**noise, "gate_time_T": True}},
             # the default band cannot reach this 1/f exponent
             {"noise": {**noise, "kind": "one_over_f", "alpha": 2.0}},
             {"N_list": ["a", 2]}]):
@@ -351,10 +398,20 @@ def test_config_errors_exit_1(tmp_path, capsys):
               ["evaluate", "--solution", good_sol, "--out", str(taken)],
               ["decompose", "--solution", good_sol, "--out", str(taken / "sub")],
               ["calibrate", "--config", grid, "--out", str(taken)]]
+    # so is an empty one, which named the current directory
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    argvs += [["optimize", "--config", good, "--out", ""],
+              ["contour", "--config", grid, "--solution", good_sol, "--out", ""],
+              ["evaluate", "--solution", good_sol, "--out", ""],
+              ["decompose", "--solution", good_sol, "--out", ""],
+              ["calibrate", "--config", grid, "--out", ""]]
     for argv in argvs:
         assert run(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error:"), argv
     assert taken.read_text() == ""
+    assert list(cwd.iterdir()) == []
 
 
 def test_calibrate_unreachable_target_is_a_numerical_failure(tmp_path, capsys):
@@ -435,7 +492,9 @@ def test_threads_only_on_contour():
     ["contour", "--config", "c.json"],                        # missing --solution
     [],                                                       # missing command
     ["decompose", "--solution", "s.json", "--config", "c.json", "--seed", "5"],
-], ids=["bad-int", "unknown-flag", "missing-flag", "no-command", "decompose-config"])
+    ["evaluate", "--solution", "s.json", "--seed", "5", "--stored-seeds"],  # two seeds
+], ids=["bad-int", "unknown-flag", "missing-flag", "no-command", "decompose-config",
+        "seed-and-stored-seeds"])
 def test_usage_errors_exit_1(argv, capsys):
     # exit 2 is reserved for numerical failures
     assert main(argv) == 1

@@ -47,8 +47,8 @@ def test_config_validation():
         NoiseConfig(kind=ONE_OVER_F, nu_min=5.0, nu_max=1.0)
     with pytest.raises(ValueError):
         NoiseConfig(channels=((0, 0),))
-    for bad in ({"sigma_nonlocal": np.nan}, {"sigma_local": np.inf}, {"gate_time_T": 0.0},
-                {"gate_time_T": np.nan}, {"alpha": np.nan}, {"nu_min": 0.0},
+    for bad in ({"sigma_nonlocal": np.nan}, {"sigma_local": np.inf},
+                {"alpha": np.nan}, {"nu_min": 0.0},
                 {"nu_max": np.inf}, {"n_fluctuators": 0}, {"n_fluctuators": 2.5},
                 {"seed": -3}, {"seed": 2.5}, {"channels": ((4, 1),)},
                 {"channels": ((1, -1),)}, {"channels": ((1.9, 2),)},
@@ -76,7 +76,6 @@ def noise_configs(draw):
         sigma_nonlocal=draw(non_negative),
         sigma_local=draw(non_negative),
         alpha=draw(finite),
-        gate_time_T=draw(positive),
         n_fluctuators=draw(st.integers(1, 10**6)),
         nu_min=nu_min,
         nu_max=nu_max,
@@ -141,8 +140,9 @@ def hand_draw(cfg, N, seed, m):
     if cfg.kind == QUASISTATIC:
         delta = np.tile(rng.normal(0.0, cfg.sigma_nonlocal, C), (N, 1))
         return delta, rng.normal(0.0, cfg.sigma_local, (N, 6))
-    lo = np.arange(N) * cfg.gate_time_T / N
-    times = rng.uniform(lo, lo + cfg.gate_time_T / N, (C + 6, N))
+    # segment n reads its noise in [n/N, (n+1)/N]: the gate spans unit time
+    lo = np.arange(N) / N
+    times = rng.uniform(lo, lo + 1 / N, (C + 6, N))
     banks = telegraph_bank(cfg, times, rng)
     return cfg.sigma_nonlocal * banks[:C].T, cfg.sigma_local * banks[C:].T
 

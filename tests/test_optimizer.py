@@ -158,25 +158,19 @@ def test_gradient_synthetic_quadratic():
     {"kick_scales": (True,)},
 ])
 def test_config_validation(bad):
+    # a count out of range is refused by the record, and a retired key at
+    # another value than its constant by from_dict
     with pytest.raises(ValueError):
-        OptimizerConfig(**bad)
+        OptimizerConfig.from_dict(bad)
     OptimizerConfig(n_kicks=0)  # an edge value that is fine
-
-
-positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 @st.composite
 def optimizer_configs(draw):
     return OptimizerConfig(
         ensemble_size=draw(st.integers(1, 10**6)),
-        tol_J=draw(positive),
-        tol_gradJ=draw(positive),
-        max_iterations=draw(st.integers(1, 10**6)),
-        history_size=draw(st.integers(1, 1000)),
         polish_rounds=draw(st.integers(1, 100)),
         n_kicks=draw(st.integers(0, 1000)),
-        kick_scales=tuple(draw(st.lists(positive, min_size=1, max_size=5))),
     )
 
 
@@ -198,27 +192,45 @@ def test_config_field_values_raise_only_value_or_type_errors(name, value):
     assert OptimizerConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
 
-def test_config_sequences_normalized_to_tuples():
-    assert OptimizerConfig(kick_scales=[0.02, 0.05, 0.15]) == OptimizerConfig()
+# each key that left the config records, the value it is fixed at, and
+# values that ask for something else: another number, another JSON type
+RETIRED = [
+    (OptimizerConfig, "bounds", None, [[-1.0, 1.0], [], 0.0, False]),
+    (OptimizerConfig, "tol_J", 2.2e-6, [1e-8, True, "2.2e-6"]),
+    (OptimizerConfig, "tol_gradJ", 2.2e-6, [2.2e-5, True, None]),
+    (OptimizerConfig, "max_iterations", 15000, [5, 15000.0, True]),
+    (OptimizerConfig, "history_size", 10, [20, 10.0, True]),
+    (OptimizerConfig, "kick_scales", [0.02, 0.05, 0.15],
+     [[0.02, 0.05], [0.02, 0.05, 0.15, 0.3], [], True]),
+    (NoiseConfig, "gate_time_T", 1.0, [2.0, 1, True, None]),
+]
+
+
+@pytest.mark.parametrize("record, key, fixed, others", RETIRED, ids=[r[1] for r in RETIRED])
+def test_config_from_dict_retired_keys(record, key, fixed, others):
+    # documents written while the key was a setting hold it at its fixed
+    # value and still load; any other value would change what runs, so it is
+    # refused with the key named
+    d = record().to_dict()
+    assert key not in d
+    assert record.from_dict(json.loads(json.dumps({**d, key: fixed}))) == record()
+    for value in others:
+        with pytest.raises(ValueError, match=key):
+            record.from_dict({**d, key: value})
 
 
 def test_config_from_dict_drops_legacy_fd_step():
     # configs and solution files written with the forward-difference
-    # gradient carry its step size, and those written while a descent could
-    # take a box carry "bounds": null
+    # gradient carry its step size, and the benchmark inputs also carry the
+    # retired keys at their fixed values
     d = OptimizerConfig(n_kicks=3).to_dict()
-    assert "fd_step" not in d and "bounds" not in d
+    assert "fd_step" not in d
     assert OptimizerConfig.from_dict({**d, "fd_step": 1e-7}) == OptimizerConfig(n_kicks=3)
-    assert OptimizerConfig.from_dict({**d, "bounds": None}) == OptimizerConfig(n_kicks=3)
-    # a box would change what the descent does, so it is refused, not dropped
-    for bounds in ([-1.0, 1.0], [], 0.0, False):
-        with pytest.raises(ValueError, match="bounds"):
-            OptimizerConfig.from_dict({**d, "bounds": bounds})
     for name in ("qs_cascade.json", "onef_cascade.json"):
         doc = json.loads((BENCH_INPUTS / name).read_text())
-        assert "fd_step" in doc["optimizer"] and doc["optimizer"]["bounds"] is None
+        assert "fd_step" in doc["optimizer"]
         assert OptimizerConfig.from_dict(doc["optimizer"]).to_dict() == {
-            k: v for k, v in doc["optimizer"].items() if k not in ("fd_step", "bounds")}
+            k: v for k, v in doc["optimizer"].items() if k in d}
 
 
 def test_relative_decrease_formula():
@@ -229,42 +241,44 @@ def test_relative_decrease_formula():
 
 def test_classify_termination_scripted():
     assert classify_termination(
-        "CONVERGENCE: REL_REDUCTION_OF_F_<=_FACTR*EPSMCH", 10, 100
+        "CONVERGENCE: REL_REDUCTION_OF_F_<=_FACTR*EPSMCH", 10
     ) == TERM_TOL_J
     assert classify_termination(
-        "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH", 10, 100
+        "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH", 10
     ) == TERM_TOL_J
     assert classify_termination(
-        b"CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL", 10, 100
+        b"CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL", 10
     ) == TERM_TOL_GRADJ
     assert classify_termination(
-        "STOP: TOTAL NO. of ITERATIONS REACHED LIMIT", 100, 100
+        "STOP: TOTAL NO. of ITERATIONS REACHED LIMIT", 100
     ) == TERM_MAX_ITER
+    assert classify_termination("ABNORMAL", optimizer.MAX_ITERATIONS) == TERM_MAX_ITER
+    assert classify_termination("ABNORMAL", optimizer.MAX_ITERATIONS - 1) == TERM_LINE_SEARCH
 
 
 def test_minimize_noise_free_reaches_perfect_entangler():
     cfg = replace(QS, sigma_nonlocal=0.0)
     ensemble = make_ensemble(cfg, 2, 1)
-    config = OptimizerConfig(ensemble_size=1)
     # identity init sits on a symmetry point of the noise-free landscape;
     # a deterministic offset is enough for the descent test
     x0 = np.full(12, 0.3)
     obj = SequenceObjective(ensemble)
-    res = _lbfgs(obj, x0, config)
+    res = _lbfgs(obj, x0)
     assert res.J <= obj.value(x0)
     assert res.history[0] >= res.history[-1]
-    assert classify_termination(res.message, res.nit, config.max_iterations) in (
+    assert classify_termination(res.message, res.nit) in (
         TERM_TOL_J, TERM_TOL_GRADJ)
     metrics = obj.metrics(res.x)
     assert metrics.epsilon == pytest.approx(0.0, abs=1e-10)
     assert metrics.epsilon_pe <= 1e-8
 
 
-def test_minimize_history_matches_objective():
+def test_minimize_history_matches_objective(monkeypatch):
+    monkeypatch.setattr(optimizer, "MAX_ITERATIONS", 5)
     ensemble = make_ensemble(QS, 2, 10)
-    config = OptimizerConfig(ensemble_size=10, max_iterations=5)
     obj = SequenceObjective(ensemble)
-    res = _lbfgs(obj, np.full(12, 0.2), config)
+    res = _lbfgs(obj, np.full(12, 0.2))
+    assert res.nit <= 5
     assert res.history[0] == pytest.approx(
         SequenceObjective(ensemble).value(np.full(12, 0.2))
     )
@@ -284,14 +298,13 @@ def test_lbfgs_J_is_value_at_returned_x():
     # after a line-search failure SciPy's res.fun is the J of the last trial
     # point, not of res.x
     ensemble = make_ensemble(replace(QS, seed=0), 2, 10)
-    config = OptimizerConfig(ensemble_size=10)
     obj = BiasedGradient(ensemble)
     x = np.random.default_rng(0).uniform(-2, 2, 12)
     reasons = []
     for _ in range(4):
-        res = _lbfgs(obj, x, config)
+        res = _lbfgs(obj, x)
         assert res.J == obj.value(res.x)
-        reasons.append(classify_termination(res.message, res.nit, config.max_iterations))
+        reasons.append(classify_termination(res.message, res.nit))
         x = res.x
     assert TERM_LINE_SEARCH in reasons
 
