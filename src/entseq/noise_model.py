@@ -19,7 +19,9 @@ Only the values at the read times are drawn, never the switch events.
 
 Reproducibility: realization ``m`` of an ensemble draws from an independent
 substream ``SeedSequence(entropy=seed, spawn_key=(m,))`` so results are
-independent of evaluation order and worker count.
+independent of evaluation order and worker count.  Each member takes all its
+draws in one call; scaling them and the telegraph arithmetic run batched over
+the members, with the same bits as drawing and computing member by member.
 """
 
 import functools
@@ -187,6 +189,31 @@ def _band_weights(alpha, nu_min, nu_max, n_fluctuators):
 # time rows per block of telegraph_bank draws: bounds the temporaries of a
 # long trace without changing the draws or the states
 _TELEGRAPH_BLOCK = 1 << 14
+# members per block of make_ensemble's 1/f arithmetic: a member's temporaries
+# hold F + 1 uniforms per read, so a block bounds them at large N x M without
+# changing the members
+_MEMBER_BLOCK = 64
+
+
+def _telegraph(rates, weights, t, up, u):
+    """A fluctuator bank carried across the gaps of the time-major read times
+    ``t`` ``(b + 1, ...)``: from the states ``up`` ``(..., F)`` at ``t[0]``, a
+    fluctuator flips across a gap ``dt`` where its uniform in ``u``
+    ``(b, ..., F)`` is below ``(1 - exp(-4 nu dt)) / 2``, the chance of an odd
+    number of rate-``2 nu`` switches.  Returns ``weights @ states`` at
+    ``t[1:]`` ``(b, ...)`` and the states at ``t[-1]``."""
+    gaps = np.ascontiguousarray(np.diff(t, axis=0))[..., None]
+    # thresholds first: the flips take their time-major layout whatever the
+    # layout of u, so each step below works on whole contiguous rows
+    states = -0.5 * np.expm1(-4.0 * rates * gaps) > u
+    states[0] ^= up
+    # the running XOR over time in log2 steps (numpy reads an overlapping
+    # operand as if copied first)
+    shift = 1
+    while shift < len(states):
+        states[shift:] ^= states[:-shift]
+        shift *= 2
+    return np.where(states, 1.0, -1.0) @ weights, states[-1]
 
 
 def telegraph_bank(config, times, rng):
@@ -197,9 +224,8 @@ def telegraph_bank(config, times, rng):
 
     Draw order: the initial states, one uniform per bank and fluctuator, then
     the flips, one uniform per gap, bank and fluctuator, time-major.  A
-    fluctuator starts at a stationary +-1 and flips across a gap ``dt`` with
-    probability ``(1 - exp(-4 nu dt)) / 2``, the chance of an odd number of
-    rate-``2 nu`` switches.
+    fluctuator starts at a stationary +-1 (uniform below 0.5) and flips
+    across each gap as in ``make_ensemble``, which runs the same arithmetic.
     """
     rates = fluctuator_rates(config)
     weights = fluctuator_weights(config)
@@ -208,40 +234,63 @@ def telegraph_bank(config, times, rng):
     out = np.empty(t.shape)
     out[0] = np.where(up, 1.0, -1.0) @ weights
     for a in range(1, len(t), _TELEGRAPH_BLOCK):
-        gaps = np.diff(t[a - 1:a + _TELEGRAPH_BLOCK], axis=0)[..., None]
-        flips = rng.random(gaps.shape[:-1] + rates.shape) < -0.5 * np.expm1(-4.0 * rates * gaps)
-        flips[0] ^= up
-        states = np.logical_xor.accumulate(flips, axis=0)
-        out[a:a + _TELEGRAPH_BLOCK] = np.where(states, 1.0, -1.0) @ weights
-        up = states[-1]
+        block = t[a - 1:a + _TELEGRAPH_BLOCK]
+        u = rng.random((len(block) - 1,) + block.shape[1:] + rates.shape)
+        out[a:a + _TELEGRAPH_BLOCK], up = _telegraph(rates, weights, block, up, u)
     return np.moveaxis(out, 0, -1)
+
+
+def _member_rng(seed, m):
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(m,)))
 
 
 def make_ensemble(config, N, M, seed=None):
     """M independent noise realizations of N segments, member m drawn from its
     own substream ``SeedSequence(entropy=seed, spawn_key=(m,))`` (``seed``
-    defaults to ``config.seed``).  Draw order within a member:
+    defaults to ``config.seed``) in one call.  Draw order within a member:
 
-    * quasistatic: one Gaussian per channel, repeated across the segments,
-      then one Gaussian ``delta_eta`` per angle slot and segment;
-    * 1/f: one fluctuator bank per channel and per angle slot, read once per
-      segment at a uniform time in its window: the ``(n_channels + 6, N)``
-      read times, then the banks' states and flips (``telegraph_bank``).
+    * quasistatic: ``standard_normal(C + 6 N)``: one Gaussian per channel,
+      repeated across the segments, then one per segment and angle slot;
+    * 1/f: ``random(K N (F + 1))`` for ``K = C + 6`` fluctuator banks (one per
+      channel and per angle slot) of ``F`` fluctuators, each bank read once
+      per segment at a uniform time in its window: the ``(K, N)`` read times,
+      then the banks' initial states ``(K, F)`` and flips ``(N - 1, K, F)``
+      in ``telegraph_bank``'s order.
+
+    Only the draws are per member.  Scaling them and the telegraph arithmetic
+    run once per block of members, and each draw is scaled as
+    ``Generator.normal`` and ``Generator.uniform`` scale it (``0.0 + sigma z``,
+    ``lo + (hi - lo) u``), so every member is bit-equal to drawing it with
+    those calls and ``telegraph_bank``.
     """
+    for name, value in (("N", N), ("M", M)):
+        if not (is_int(value) and value >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     seed = config.seed if seed is None else seed
     C = len(config.channels)
-    lo = np.arange(N) / N
-    hi = lo + 1 / N
-    ensemble = []
-    for m in range(M):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(m,)))
-        if config.kind == QUASISTATIC:
-            delta = np.tile(rng.normal(0.0, config.sigma_nonlocal, C), (N, 1))
-            delta_eta = rng.normal(0.0, config.sigma_local, (N, 6))
-        else:
-            banks = telegraph_bank(config, rng.uniform(lo, hi, (C + 6, N)), rng)
-            delta = config.sigma_nonlocal * banks[:C].T
-            delta_eta = config.sigma_local * banks[C:].T
-        ensemble.append(NoiseRealization(delta, delta_eta, config.channels))
-    return ensemble
-
+    if config.kind == QUASISTATIC:
+        z = np.stack([_member_rng(seed, m).standard_normal(C + 6 * N) for m in range(M)])
+        delta = np.repeat(0.0 + config.sigma_nonlocal * z[:, None, :C], N, axis=1)
+        delta_eta = (0.0 + config.sigma_local * z[:, C:]).reshape(M, N, 6)
+    else:
+        rates = fluctuator_rates(config)
+        weights = fluctuator_weights(config)
+        K, F = C + 6, len(rates)
+        lo = np.arange(N) / N
+        hi = lo + 1 / N
+        banks = np.empty((N, M, K))   # time-major, as _telegraph carries them
+        for a in range(0, M, _MEMBER_BLOCK):
+            u = np.stack([_member_rng(seed, m).random(K * N * (F + 1))
+                          for m in range(a, min(a + _MEMBER_BLOCK, M))])
+            t = np.moveaxis(lo + (hi - lo) * u[:, :K * N].reshape(-1, K, N), -1, 0)
+            # (N, members, K, F): the initial states' uniforms, then the flips'
+            s = np.moveaxis(u[:, K * N:].reshape(-1, N, K, F), 1, 0)
+            up = s[0] < 0.5
+            block = banks[:, a:a + _MEMBER_BLOCK]
+            block[0] = np.where(up, 1.0, -1.0) @ weights
+            if N > 1:
+                block[1:] = _telegraph(rates, weights, t, up, s[1:])[0]
+        banks = np.moveaxis(banks, 0, 1)
+        delta = config.sigma_nonlocal * banks[..., :C]
+        delta_eta = config.sigma_local * banks[..., C:]
+    return [NoiseRealization(d, e, config.channels) for d, e in zip(delta, delta_eta)]

@@ -54,7 +54,7 @@ from .sequence_engine import (
     ensemble_slices,
     gate_error,
 )
-from .weyl_geometry import pe_functional_grad, pe_functional_many
+from .weyl_geometry import pe_functional_many, pe_functional_value_and_grad
 
 TERM_TOL_J = "tol_J"
 TERM_TOL_GRADJ = "tol_gradJ"
@@ -134,23 +134,25 @@ class OptimizationResult:
         }
 
 
-def objective_value(U, O, d_weight=1.0):
-    """J = mean_m[eps + d_weight * D] of noisy gates ``U`` against ``O``."""
-    return float(np.mean(gate_error(U, O) + d_weight * pe_functional_many(U)))
+def objective_value(U, O, D, d_weight=1.0):
+    """J = mean_m[eps + d_weight * D] of noisy gates ``U`` against ``O``, with
+    ``D = pe_functional_many(U)``."""
+    return float(np.mean(gate_error(U, O) + d_weight * D))
 
 
-def objective_cotangents(U, O, d_weight=1.0):
+def objective_cotangents(U, O, G_D, d_weight=1.0):
     """Cotangents ``(G_U, G_O)`` of :func:`objective_value`:
     ``dJ = sum_m Re tr(G_U[m] dU_m) + Re tr(G_O dO)``.
 
     With ``t_m = tr(O^dag U_m)``, ``eps_m = 1 - |t_m|^2 / 16`` contributes
     ``-(conj(t_m) / 8) O^dag`` to U_m's cotangent and ``-(t_m / 8) U_m^dag``
-    to O's; D contributes through :func:`pe_functional_grad`.
+    to O's; D contributes ``G_D``, its cotangent from
+    :func:`pe_functional_value_and_grad`.
     """
     M = len(U)
     t = np.einsum("ji,mji->m", O.conj(), U)
     G_U = (-np.conj(t) / (8.0 * M))[:, None, None] * O.conj().T
-    G_U += (d_weight / M) * pe_functional_grad(U)
+    G_U += (d_weight / M) * G_D
     G_O = np.einsum("m,mji->ij", -t / (8.0 * M), U.conj())
     return G_U, G_O
 
@@ -167,7 +169,8 @@ class SequenceObjective:
         return ensemble_gates(x, self.slices, self.delta_eta)
 
     def value(self, x, d_weight=1.0):
-        return objective_value(*self.gates(x), d_weight)
+        U, O = self.gates(x)
+        return objective_value(U, O, pe_functional_many(U), d_weight)
 
     def epsilon_pe(self, x):
         return ensemble_metrics(*self.gates(x)).epsilon_pe
@@ -178,10 +181,11 @@ class SequenceObjective:
 
     def value_and_grad(self, x, d_weight=1.0):
         """J at x (bit-identical to :meth:`value`) and its exact gradient, the
-        kernel's pullback of J's cotangents."""
+        kernel's pullback of J's cotangents; D and its cotangent share one pass."""
         U, O, pullback = ensemble_gates_vjp(x, self.slices, self.delta_eta)
-        J = objective_value(U, O, d_weight)
-        return J, pullback(*objective_cotangents(U, O, d_weight))
+        D, G_D = pe_functional_value_and_grad(U)
+        J = objective_value(U, O, D, d_weight)
+        return J, pullback(*objective_cotangents(U, O, G_D, d_weight))
 
 
 def relative_decrease(J_prev, J_next):

@@ -194,11 +194,12 @@ def w1_indicator_s(g):
 
 
 def _pe_side(g):
-    """``d`` and the side test of :func:`pe_functional_many`: True where
+    """D of :func:`pe_functional_many`, ``d`` and the side test: True where
     ``D = |d|``, False where D = 0."""
     g1, g2, g3 = g
     d = pe_distance_d(g)
-    return d, (g3 * g3 + 4.0 * np.hypot(g1, g2) > 1.0) & (g3 * d > 0)
+    outside = (g3 * g3 + 4.0 * np.hypot(g1, g2) > 1.0) & (g3 * d > 0)
+    return np.where(outside, np.abs(d), 0.0), d, outside
 
 
 def pe_functional_many(U):
@@ -215,13 +216,14 @@ def pe_functional_many(U):
     rule all three share a sign exactly when ``g3^2 + 4r > 1`` and
     ``g3 d > 0``.
     """
-    d, outside = _pe_side(makhlin_invariants_many(U))
-    return np.where(outside, np.abs(d), 0.0)
+    return _pe_side(makhlin_invariants_many(U))[0]
 
 
-def pe_functional_grad(U):
-    """Cotangent of :func:`pe_functional_many`, batched: ``G`` ``(..., 4, 4)``
-    with ``dD = Re tr(G dU)`` for unitary ``U``; zero where D is.
+def pe_functional_value_and_grad(U):
+    """:func:`pe_functional_many` and its cotangent from one pass over the
+    Gram matrices, batched: ``(D, G)`` with ``G`` ``(..., 4, 4)`` such that
+    ``dD = Re tr(G dU)`` for unitary ``U``; G is zero where D is.  D is
+    bit-equal to :func:`pe_functional_many`'s.
 
     With ``m`` the magic-basis Gram matrix of the normalized gate (so
     ``det = 1``), ``a = tr(m)^2`` and ``b = tr(m^2)``: ``g1 + i g2 = a/16``,
@@ -237,9 +239,9 @@ def pe_functional_grad(U):
     """
     V, m, c = _magic_gram(U)
     g, tr, tr_m2 = _gram_invariants(m)
-    d, outside = _pe_side(g)
+    D, d, outside = _pe_side(g)
     if not outside.any():
-        return np.zeros(np.shape(U), dtype=complex)
+        return D, np.zeros(np.shape(U), dtype=complex)
     g1, g2, g3 = g
     r = np.hypot(g1, g2)
     alpha = r / 4.0 + g3 * (g1 - 1j * g2) / (16.0 * np.where(outside, r, 1.0)) - 1.0 / 16.0
@@ -250,7 +252,7 @@ def pe_functional_grad(U):
     core = (alpha * tr)[..., None, None] * np.eye(4) - beta[..., None, None] * m
     G = (4.0 / c) * (MAGIC @ core @ np.swapaxes(V, -1, -2) @ _MAGIC_DAG)
     G -= (alpha * tr * tr - beta * tr_m2)[..., None, None] * np.conj(np.swapaxes(U, -1, -2))
-    return sign[..., None, None] * G
+    return D, sign[..., None, None] * G
 
 
 def pe_functional_D(U):

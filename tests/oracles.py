@@ -11,6 +11,7 @@ into the tests were produced by these functions.
 
 The Haar-random generators draw test gates, ``sample_noise_trace`` with
 ``fit_spectral_exponent`` measure the spectrum of the package's 1/f noise,
+``make_ensemble_member_by_member`` is the frozen per-member noise sampler,
 ``estimate_local_fidelity`` is the Monte-Carlo harness of criterion 6, and
 ``any_value`` draws arbitrary field values for the config validation
 properties.
@@ -22,7 +23,7 @@ from scipy.linalg import expm
 from scipy.signal import welch
 
 from entseq.gate_algebra import local_rotation, trace_fidelity
-from entseq.noise_model import telegraph_bank
+from entseq.noise_model import QUASISTATIC, fluctuator_rates, fluctuator_weights, telegraph_bank
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -146,6 +147,43 @@ def sample_noise_trace(config, duration, sample_rate, rng):
     """One summed, weighted fluctuator bank on a uniform time grid."""
     t = np.arange(0.0, duration, 1.0 / sample_rate)
     return t, config.sigma_nonlocal * telegraph_bank(config, t, rng)
+
+
+def make_ensemble_member_by_member(config, N, M, seed=None):
+    """``(delta, delta_eta)`` of each member of ``noise_model.make_ensemble``,
+    drawn one member at a time with ``Generator.normal`` and
+    ``Generator.uniform`` and the telegraph arithmetic written out here.
+
+    This is the sampler as it was before its arithmetic was batched, frozen:
+    the package's members must match it byte for byte.  A member's 1/f banks
+    are read once per segment (N <= 16384 keeps the flips in one block).
+    """
+    seed = config.seed if seed is None else seed
+    C = len(config.channels)
+    lo = np.arange(N) / N
+    hi = lo + 1 / N
+    members = []
+    for m in range(M):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(m,)))
+        if config.kind == QUASISTATIC:
+            delta = np.tile(rng.normal(0.0, config.sigma_nonlocal, C), (N, 1))
+            delta_eta = rng.normal(0.0, config.sigma_local, (N, 6))
+        else:
+            rates = fluctuator_rates(config)
+            weights = fluctuator_weights(config)
+            t = rng.uniform(lo, hi, (C + 6, N)).T
+            up = rng.random((C + 6,) + rates.shape) < 0.5
+            banks = np.empty(t.shape)
+            banks[0] = np.where(up, 1.0, -1.0) @ weights
+            if N > 1:
+                gaps = np.diff(t, axis=0)[..., None]
+                flips = rng.random(gaps.shape[:-1] + rates.shape) < -0.5 * np.expm1(-4.0 * rates * gaps)
+                flips[0] ^= up
+                banks[1:] = np.where(np.logical_xor.accumulate(flips, axis=0), 1.0, -1.0) @ weights
+            delta = config.sigma_nonlocal * banks[:, :C]
+            delta_eta = config.sigma_local * banks[:, C:]
+        members.append((delta, delta_eta))
+    return members
 
 
 def fit_spectral_exponent(x, sample_rate, band, nperseg=32768, n_bins=24):

@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import fields, replace
 
@@ -26,7 +27,13 @@ from entseq.sequence_engine import (
     uncorrected_error,
 )
 
-from oracles import any_value, estimate_local_fidelity, fit_spectral_exponent, sample_noise_trace
+from oracles import (
+    any_value,
+    estimate_local_fidelity,
+    fit_spectral_exponent,
+    make_ensemble_member_by_member,
+    sample_noise_trace,
+)
 
 QS = NoiseConfig(kind=QUASISTATIC, sigma_nonlocal=0.13, sigma_local=0.01, seed=1)
 OF = NoiseConfig(kind=ONE_OVER_F, sigma_nonlocal=0.2, sigma_local=0.006, seed=1)
@@ -133,29 +140,47 @@ def test_determinism_same_seed():
         assert np.array_equal(ra.delta_eta, rb.delta_eta)
 
 
-def hand_draw(cfg, N, seed, m):
-    """Member m drawn by hand from its own substream, in the documented order."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(m,)))
-    C = len(cfg.channels)
-    if cfg.kind == QUASISTATIC:
-        delta = np.tile(rng.normal(0.0, cfg.sigma_nonlocal, C), (N, 1))
-        return delta, rng.normal(0.0, cfg.sigma_local, (N, 6))
-    # segment n reads its noise in [n/N, (n+1)/N]: the gate spans unit time
-    lo = np.arange(N) / N
-    times = rng.uniform(lo, lo + 1 / N, (C + 6, N))
-    banks = telegraph_bank(cfg, times, rng)
-    return cfg.sigma_nonlocal * banks[:C].T, cfg.sigma_local * banks[C:].T
+def same_bytes(ensemble, members):
+    return len(ensemble) == len(members) and all(
+        (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+        for r, pair in zip(ensemble, members) for a, b in zip((r.delta, r.delta_eta), pair))
+
+
+# a zero amplitude pins Generator.normal's 0.0 + sigma z, which turns -0.0
+# into 0.0; the one-fluctuator config has no spectral fit
+DRAW_CONFIGS = [replace(cfg, sigma_nonlocal=sigma_nonlocal, sigma_local=sigma_local)
+                for cfg in (OF, replace(OF, channels=ALL_CHANNELS),
+                            replace(OF, n_fluctuators=1, nu_min=0.8, nu_max=1.6))
+                for sigma_nonlocal, sigma_local in ((0.2, 0.0), (0.2, 0.01), (0.0, 0.0))]
+
+
+@pytest.mark.parametrize("kind", [QUASISTATIC, ONE_OVER_F])
+def test_members_follow_the_documented_draw_order(kind):
+    # byte for byte the frozen member-by-member sampler, whose arithmetic
+    # does not share code with the package's
+    for cfg in DRAW_CONFIGS:
+        cfg = replace(cfg, kind=kind)
+        for seed, N, M in itertools.product((0, 2**64 - 59), (1, 2, 5, 16), (1, 3, 20)):
+            ensemble = make_ensemble(cfg, N, M, seed=seed)
+            assert same_bytes(ensemble, make_ensemble_member_by_member(cfg, N, M, seed)), (cfg, N, M)
+            assert all(r.channels == cfg.channels for r in ensemble)
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_member_blocks_do_not_change_the_members(monkeypatch, block):
+    import entseq.noise_model as nm
+
+    monkeypatch.setattr(nm, "_MEMBER_BLOCK", block)
+    for N, M in ((1, 4), (5, 7)):
+        assert same_bytes(make_ensemble(OF, N, M), make_ensemble_member_by_member(OF, N, M))
 
 
 @pytest.mark.parametrize("cfg", [QS, OF], ids=["quasistatic", "one_over_f"])
-def test_members_follow_the_documented_draw_order(cfg):
-    for N, seed in ((1, 0), (4, 23)):
-        ensemble = make_ensemble(cfg, N, 3, seed=seed)
-        for m, real in enumerate(ensemble):
-            delta, delta_eta = hand_draw(cfg, N, seed, m)
-            assert np.array_equal(real.delta, delta)
-            assert np.array_equal(real.delta_eta, delta_eta)
-            assert real.channels == cfg.channels
+@pytest.mark.parametrize("N, M, name", [(0, 3, "N"), (3, 0, "M"), (3, -1, "M"), (2.0, 3, "N"),
+                                         (True, 3, "N"), (3, "3", "M")])
+def test_make_ensemble_refuses_bad_sizes(cfg, N, M, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+        make_ensemble(cfg, N, M)
 
 
 def test_substreams_are_order_independent():
