@@ -15,13 +15,16 @@ seed) which is recorded in every output artifact.  Reruns with the same seed
 reproduce all results bit-for-bit; the only non-reproducible output field is
 the wall_time_s column of the optimize summary CSV.
 
+``contour --threads`` is retired: the grid runs in one thread, one kernel pass
+per block of grid points.  The option is still parsed, and refused below 1, so
+that command lines that pass it keep working; it has no effect.
+
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure.
 """
 
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -35,7 +38,10 @@ from .optimizer import (OptimizerConfig, ascending_lengths, cascade_optimize, de
 from .sequence_engine import (
     SequenceParams,
     calibrate_amplitude,
+    ensemble_gates,
+    ensemble_slices,
     evaluate_solution,
+    gate_error,
     target_gate,
     uncorrected_error,
 )
@@ -173,6 +179,11 @@ def _grid_axis(grid, name, default):
     return np.geomspace(*axis)
 
 
+# members in one kernel pass of the contour (never fewer than one point's M):
+# bounds the pass's memory, and changes no result
+CONTOUR_BLOCK_MEMBERS = 256
+
+
 def cmd_contour(args):
     if args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
@@ -186,15 +197,17 @@ def cmd_contour(args):
     out = Path(_output_dir(args.out))
 
     points = [(i, j) for i in range(sig_loc.size) for j in range(sig_nl.size)]
-
-    def eval_point(idx):
-        i, j = idx
-        cfg = replace(noise, sigma_local=float(sig_loc[i]), sigma_nonlocal=float(sig_nl[j]))
-        ensemble = make_ensemble(cfg, params.N, M, seed=derived_seed(noise.seed, i, j))
-        return evaluate_solution(params, ensemble).epsilon
-
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        eps = list(pool.map(eval_point, points))
+    per_block = max(1, CONTOUR_BLOCK_MEMBERS // M)
+    eps = []
+    for start in range(0, len(points), per_block):
+        block = points[start:start + per_block]
+        members = []
+        for i, j in block:
+            cfg = replace(noise, sigma_local=float(sig_loc[i]), sigma_nonlocal=float(sig_nl[j]))
+            members += make_ensemble(cfg, params.N, M, seed=derived_seed(noise.seed, i, j))
+        U, O = ensemble_gates(params.angles, *ensemble_slices(members))
+        # each point's row is reduced with np.mean's pairwise sum, as in evaluate_solution
+        eps += gate_error(U, O).reshape(len(block), M).mean(axis=1).tolist()
 
     csv_path = write_atomic(out / "contour.csv", "".join(
         ["sigma_local,sigma_nonlocal,epsilon\n"]
@@ -341,7 +354,8 @@ def build_parser():
     common(sp)
     sp.add_argument("--solution", required=True)
     sp.add_argument("--threads", type=int, default=1,
-                    help="worker threads (performance only; results invariant)")
+                    help="retired: has no effect (the grid runs in one thread); "
+                         "an integer >= 1 is still accepted")
     sp.set_defaults(func=cmd_contour)
 
     sp = sub.add_parser("evaluate", help="evaluate a solution under a noise config")

@@ -213,8 +213,8 @@ def evaluate_solution(params, ensemble):
 
 def uncorrected_error(config, N, M):
     """Mean gate error of the identity-rotation sequence (no correction)."""
-    ensemble = noise_model.make_ensemble(config, N, M)
-    return evaluate_solution(SequenceParams(N, np.zeros(6 * N)), ensemble).epsilon
+    layout = ensemble_slices(noise_model.make_ensemble(config, N, M))
+    return float(np.mean(gate_error(*ensemble_gates(np.zeros(6 * N), *layout))))
 
 
 CALIBRATION_REL_TOL = 0.05   # bisection stops this close to the target, relative

@@ -1,13 +1,15 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from entseq import noise_model
+from entseq import cli, noise_model
 from entseq.cli import _grid_axis, _record, load_document, main, noise_from_spec
-from entseq.noise_model import NoiseConfig
-from entseq.optimizer import OptimizerConfig, ascending_lengths
+from entseq.noise_model import NoiseConfig, make_ensemble
+from entseq.optimizer import OptimizerConfig, ascending_lengths, derived_seed
+from entseq.sequence_engine import evaluate_solution
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -208,30 +210,44 @@ def test_contour_csv(solution_dir, tmp_path):
     lines = (out / "contour.csv").read_text().splitlines()
     assert lines[0] == "sigma_local,sigma_nonlocal,epsilon"
     assert len(lines) == 5
-    # threaded rerun must give identical bytes
+    # the retired --threads is accepted and changes nothing
     out2 = tmp_path / "out2"
     assert run(["contour", "--config", cfg, "--solution", str(sol), "--out", str(out2),
                 "--threads", "4"]) == 0
     assert (out / "contour.csv").read_bytes() == (out2 / "contour.csv").read_bytes()
 
 
-def test_contour_one_over_f_threads_byte_identical(solution_dir, tmp_path):
-    # every grid point samples its 1/f ensemble from its own substreams
+@pytest.mark.parametrize("kind", ["quasistatic", "one_over_f"])
+def test_contour_matches_per_point_path(solution_dir, tmp_path, monkeypatch, kind):
+    # every grid point samples its ensemble from its own substreams, and a
+    # block of points in one kernel pass gives each point the eps of its own
+    # evaluate_solution, whatever the block size and the retired --threads
     sol = solution_dir / "solution_quasistatic_N002.json"
     spec = {
         "schema_version": 1,
-        "noise": NoiseConfig(kind="one_over_f", seed=7).to_dict(),
-        "grid": {"sigma_local": [1e-3, 1e-2, 2], "sigma_nonlocal": [0.05, 0.2, 2], "M": 10},
+        "noise": NoiseConfig(kind=kind, seed=7).to_dict(),
+        "grid": {"sigma_local": [1e-3, 1e-2, 2], "sigma_nonlocal": [0.05, 0.2, 3], "M": 10},
     }
-    cfg = write_spec(tmp_path, spec, "onef_grid.json")
+    cfg = write_spec(tmp_path, spec, "grid.json")
     csv = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
+    # one member (one point a block), 4 points a block (a partial last block), the default
+    for members, threads in ((1, "1"), (40, "2"), (cli.CONTOUR_BLOCK_MEMBERS, "1"),
+                             (cli.CONTOUR_BLOCK_MEMBERS, "2")):
+        monkeypatch.setattr(cli, "CONTOUR_BLOCK_MEMBERS", members)
+        out = tmp_path / f"blocks{members}_threads{threads}"
         assert run(["contour", "--config", cfg, "--solution", str(sol), "--out", str(out),
                     "--threads", threads]) == 0
         csv.append((out / "contour.csv").read_bytes())
-    assert csv[0] == csv[1]
-    assert len(csv[0].splitlines()) == 5
+    assert csv[1:] == csv[:1] * 3
+    rows = csv[0].decode().splitlines()[1:]
+    assert len(rows) == 6
+    params, _ = cli.load_solution(sol)
+    sig_loc, sig_nl = np.geomspace(1e-3, 1e-2, 2), np.geomspace(0.05, 0.2, 3)
+    noise = NoiseConfig.from_dict(spec["noise"])
+    for row, (i, j) in zip(rows, [(i, j) for i in range(2) for j in range(3)]):
+        cfg_ij = replace(noise, sigma_local=float(sig_loc[i]), sigma_nonlocal=float(sig_nl[j]))
+        ensemble = make_ensemble(cfg_ij, params.N, 10, seed=derived_seed(noise.seed, i, j))
+        assert float(row.split(",")[2]) == evaluate_solution(params, ensemble).epsilon
 
 
 def test_optimize_noise_free_steers_to_perfect_entangler(tmp_path, capsys):
@@ -349,7 +365,7 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
         args = ["--solution", str(sol)] if cmd == "evaluate" else []
         assert run([cmd, "--config", cfg, *args]) == 1
         assert capsys.readouterr().err.startswith("error:")
-    # contour needs at least one worker thread, one member and nonempty axes
+    # contour refuses --threads below 1 (retired, but still parsed), no member and empty axes
     out = tmp_path / "contour"
     assert run(["contour", "--config", grid, "--solution", str(sol), "--out", str(out),
                 "--threads", "0"]) == 1
