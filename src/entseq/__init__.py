@@ -20,8 +20,8 @@ from .weyl_geometry import (
 )
 from .noise_model import (
     ALL_CHANNELS,
+    Ensemble,
     NoiseConfig,
-    NoiseRealization,
     TWO_LOCAL_CHANNELS,
     make_ensemble,
 )

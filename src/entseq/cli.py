@@ -31,8 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .noise_model import (ONE_OVER_F, SCHEMA_VERSION, NoiseConfig, fluctuator_weights, is_int,
-                          is_real, make_ensemble)
+from .noise_model import (ONE_OVER_F, SCHEMA_VERSION, Ensemble, NoiseConfig, fluctuator_weights,
+                          is_int, is_real, make_ensemble)
 from .optimizer import (OptimizerConfig, ascending_lengths, cascade_optimize, derived_seed,
                         write_atomic)
 from .sequence_engine import (
@@ -87,7 +87,8 @@ def load_document(path, what):
         doc = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:   # ValueError: not JSON, or not text
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    if _object(doc, f"{what} {path}").get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+    version = _object(doc, f"{what} {path}").get("schema_version", SCHEMA_VERSION)
+    if not (is_int(version) and version == SCHEMA_VERSION):
         raise ConfigError(f"{what} {path} has an unsupported schema version")
     return doc
 
@@ -201,10 +202,12 @@ def cmd_contour(args):
     eps = []
     for start in range(0, len(points), per_block):
         block = points[start:start + per_block]
-        members = []
+        parts = []
         for i, j in block:
             cfg = replace(noise, sigma_local=float(sig_loc[i]), sigma_nonlocal=float(sig_nl[j]))
-            members += make_ensemble(cfg, params.N, M, seed=derived_seed(noise.seed, i, j))
+            parts.append(make_ensemble(cfg, params.N, M, seed=derived_seed(noise.seed, i, j)))
+        members = Ensemble(np.concatenate([p.delta for p in parts]),
+                           np.concatenate([p.delta_eta for p in parts]), noise.channels)
         U, O = ensemble_gates(params.angles, *ensemble_slices(members))
         # each point's row is reduced with np.mean's pairwise sum, as in evaluate_solution
         eps += gate_error(U, O).reshape(len(block), M).mean(axis=1).tolist()
@@ -308,7 +311,7 @@ def cmd_calibrate(args):
     except RuntimeError as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
         return 2
-    eps = uncorrected_error(replace(noise, sigma_nonlocal=sigma), N, M)
+    eps = uncorrected_error(make_ensemble(replace(noise, sigma_nonlocal=sigma), N, M))
     payload = {
         "target_uncorrected_error": target,
         "calibrated_sigma_nonlocal": sigma,

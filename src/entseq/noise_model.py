@@ -2,13 +2,14 @@
 from superposed random-telegraph fluctuators, and local Euler-angle
 perturbations.  ``make_ensemble`` is the one sampler for every noise kind.
 
-A noise realization holds, for one sampled world:
+An ensemble of M sampled worlds is one ``Ensemble`` record:
 
-* ``delta``      -- shape ``(N, n_channels)``, the error coefficients
-  ``delta[n, c]`` multiplying ``sigma_i (x) sigma_j`` for channel c in
-  segment n (quasistatic noise repeats one draw across all segments),
-* ``delta_eta``  -- shape ``(N, 6)``, multiplicative perturbations applied to
-  the Euler angles, one per angle slot per segment.
+* ``delta``      -- shape ``(M, N, n_channels)``, the coefficient of
+  ``sigma_i (x) sigma_j`` for channel c in segment n of member m
+  (quasistatic noise repeats one draw across all segments),
+* ``delta_eta``  -- shape ``(M, N, 6)``, multiplicative perturbations of the
+  Euler angles, one per angle slot per segment,
+* ``channels``   -- the channel of each column of ``delta``.
 
 1/f noise is a weighted bank of random-telegraph fluctuators with log-spaced
 rates ``nu_f``.  Each fluctuator switches sign as a Poisson process of rate
@@ -17,11 +18,9 @@ stationary +-1 at the first time, then a flip with probability
 ``(1 - exp(-4 nu_f dt)) / 2`` across each gap ``dt`` (``telegraph_bank``).
 Only the values at the read times are drawn, never the switch events.
 
-Reproducibility: realization ``m`` of an ensemble draws from an independent
+Reproducibility: member ``m`` of an ensemble draws from an independent
 substream ``SeedSequence(entropy=seed, spawn_key=(m,))`` so results are
-independent of evaluation order and worker count.  Each member takes all its
-draws in one call; scaling them and the telegraph arithmetic run batched over
-the members, with the same bits as drawing and computing member by member.
+independent of evaluation order and worker count (see ``make_ensemble``).
 """
 
 import functools
@@ -114,18 +113,22 @@ class NoiseConfig:
     def from_dict(cls, d):
         d = dict(d)
         version = d.pop("schema_version", SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
+        if not (is_int(version) and version == SCHEMA_VERSION):
             raise ValueError(f"unsupported NoiseConfig schema version {version}")
         return cls(**without_retired(d, gate_time_T=1.0))
 
 
 @dataclass
-class NoiseRealization:
-    """Error coefficients and local-angle perturbations for one sampled world."""
+class Ensemble:
+    """Error coefficients and local-angle perturbations of M sampled worlds."""
 
-    delta: np.ndarray          # (N, n_channels)
-    delta_eta: np.ndarray      # (N, 6)
+    delta: np.ndarray          # (M, N, n_channels)
+    delta_eta: np.ndarray      # (M, N, 6)
     channels: tuple
+
+    def __iter__(self):
+        """Each member as an ``Ensemble`` without the leading axis, as perfbench reads them."""
+        return (Ensemble(d, e, self.channels) for d, e in zip(self.delta, self.delta_eta))
 
 
 def fluctuator_rates(config):
@@ -245,7 +248,7 @@ def _member_rng(seed, m):
 
 
 def make_ensemble(config, N, M, seed=None):
-    """M independent noise realizations of N segments, member m drawn from its
+    """An ``Ensemble`` of M independent worlds of N segments, member m drawn from its
     own substream ``SeedSequence(entropy=seed, spawn_key=(m,))`` (``seed``
     defaults to ``config.seed``) in one call.  Draw order within a member:
 
@@ -293,4 +296,4 @@ def make_ensemble(config, N, M, seed=None):
         banks = np.moveaxis(banks, 0, 1)
         delta = config.sigma_nonlocal * banks[..., :C]
         delta_eta = config.sigma_local * banks[..., C:]
-    return [NoiseRealization(d, e, config.channels) for d, e in zip(delta, delta_eta)]
+    return Ensemble(delta, delta_eta, config.channels)

@@ -93,9 +93,9 @@ def zz_phase_slice(N):
 
 
 def ensemble_slices(ensemble):
-    """Lay out an ensemble for the kernel: the fixed factors
+    """Lay out an ``Ensemble`` for the kernel: the fixed factors
     ``F_mn = Z_N D_mn`` ``(M + 1, N, 4, 4)`` and the angle perturbations
-    ``(M + 1, N, 6)``.  Members 0..M-1 are the realizations, with
+    ``(M + 1, N, 6)``.  Members 0..M-1 are the record's, with
     ``D_mn = exp(-i Delta_mn / N)``; member M is the noise-free target,
     ``F = Z_N`` and ``delta_eta = 0``.
 
@@ -103,15 +103,9 @@ def ensemble_slices(ensemble):
     when every member's coefficients repeat across the segments, as
     quasistatic ones do, else one per member and segment.
     """
-    if not ensemble:
-        raise ValueError("ensemble must be nonempty")
-    first = ensemble[0]
-    N = first.delta.shape[0]
-    if any((r.delta.shape[0], r.channels) != (N, first.channels) for r in ensemble):
-        raise ValueError("ensemble realizations disagree on segment count or channels")
-    M = len(ensemble)
-    sig = pauli_stack(first.channels)
-    delta = np.stack([r.delta for r in ensemble])
+    delta = ensemble.delta
+    M, N = delta.shape[:2]
+    sig = pauli_stack(ensemble.channels)
     if (delta == delta[:, :1]).all():
         D = expm_hermitian(np.einsum("mc,cab->mab", delta[:, 0], sig), 1.0 / N)
         D = np.broadcast_to(D[:, None], (M, N, 4, 4))
@@ -119,8 +113,7 @@ def ensemble_slices(ensemble):
         D = expm_hermitian(np.einsum("mnc,cab->mnab", delta, sig), 1.0 / N)
     Z = zz_phase_slice(N)
     factors = np.concatenate([Z @ D, np.broadcast_to(Z, (1, N, 4, 4))])
-    delta_eta = np.concatenate([np.stack([r.delta_eta for r in ensemble]),
-                                np.zeros((1, N, 6))])
+    delta_eta = np.concatenate([ensemble.delta_eta, np.zeros((1, N, 6))])
     return factors, delta_eta
 
 
@@ -211,10 +204,10 @@ def evaluate_solution(params, ensemble):
     return ensemble_metrics(*ensemble_gates(params.angles, *ensemble_slices(ensemble)))
 
 
-def uncorrected_error(config, N, M):
-    """Mean gate error of the identity-rotation sequence (no correction)."""
-    layout = ensemble_slices(noise_model.make_ensemble(config, N, M))
-    return float(np.mean(gate_error(*ensemble_gates(np.zeros(6 * N), *layout))))
+def uncorrected_error(ensemble):
+    """Mean gate error of the identity-rotation sequence (no correction) on an ensemble."""
+    U, O = ensemble_gates(np.zeros(6 * ensemble.delta.shape[1]), *ensemble_slices(ensemble))
+    return float(np.mean(gate_error(U, O)))
 
 
 CALIBRATION_REL_TOL = 0.05   # bisection stops this close to the target, relative
@@ -225,16 +218,17 @@ def calibrate_amplitude(target, config, N, M):
     """Bisect sigma_nonlocal until the identity-rotation (uncorrected) gate
     error matches the target within ``CALIBRATION_REL_TOL`` relative.
 
-    The same ensemble substreams are reused for every trial amplitude
-    (common random numbers), which makes the bisected function deterministic
-    and monotone.  A ValueError unless the target is a number in (0, 0.5); a
-    RuntimeError when no amplitude up to ``CALIBRATION_MAX_SIGMA`` reaches it.
+    One ensemble, drawn at ``sigma_nonlocal = 1`` and scaled for each trial to
+    ``0.0 + sigma * delta`` (bit for bit its draw at sigma), makes the bisected
+    function deterministic and monotone.  A ValueError unless the target is a
+    number in (0, 0.5); a RuntimeError when no amplitude up to ``CALIBRATION_MAX_SIGMA`` reaches it.
     """
     if not (noise_model.is_real(target) and 0 < target < 0.5):
         raise ValueError(f"target error must be a number in (0, 0.5), got {target!r}")
+    unit = noise_model.make_ensemble(replace(config, sigma_nonlocal=1.0), N, M)
 
     def eps_at(sigma):
-        return uncorrected_error(replace(config, sigma_nonlocal=sigma), N, M)
+        return uncorrected_error(replace(unit, delta=0.0 + sigma * unit.delta))
 
     lo, hi = 0.0, max(config.sigma_nonlocal, 0.05)
     while eps_at(hi) < target:

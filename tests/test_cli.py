@@ -335,6 +335,11 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
             {"optimizer": {**opt, "tol_J": True}},
             {"optimizer": {**opt, "history_size": 10.0}},
             {"noise": {**noise, "gate_time_T": True}},
+            # a schema version is the integer 1, in the document and in a block
+            {"schema_version": True},
+            {"schema_version": 1.0},
+            {"noise": {**noise, "schema_version": True}},
+            {"noise": {**noise, "schema_version": 1.0}},
             # the default band cannot reach this 1/f exponent
             {"noise": {**noise, "kind": "one_over_f", "alpha": 2.0}},
             {"N_list": ["a", 2]}]):
@@ -396,6 +401,13 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
     for i, target in enumerate(["abc", None]):
         cfg = write_spec(tmp_path, {**grid_spec, "target_error": target}, f"target_{i}.json")
         argvs.append(["calibrate", "--config", cfg])
+    # a schema version is the integer 1, in the document and in the noise block
+    noise_doc = grid_spec["noise"]
+    for i, version in enumerate([True, 1.0]):
+        for j, doc in enumerate([{**grid_spec, "schema_version": version},
+                                 {**grid_spec, "noise": {**noise_doc, "schema_version": version}}]):
+            cfg = write_spec(tmp_path, doc, f"version_{i}{j}.json")
+            argvs.append(["calibrate", "--config", cfg])
     # calibrate_amplitude owns the (0, 0.5) target rule; its refusal is exit 1
     for target in ("0", "0.5", "nan", "true"):
         argvs.append(["calibrate", "--target", target])

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from entseq.noise_model import (
     ALL_CHANNELS,
+    Ensemble,
     NoiseConfig,
     ONE_OVER_F,
     QUASISTATIC,
@@ -123,7 +124,7 @@ def test_quasistatic_zero_amplitude():
 
 def test_quasistatic_sample_std():
     cfg = replace(QS, sigma_local=0.0)
-    draws = np.concatenate([r.delta[0] for r in make_ensemble(cfg, 1, 100_000 // 9, seed=2)])
+    draws = make_ensemble(cfg, 1, 100_000 // 9, seed=2).delta
     assert 0.128 <= draws.std() <= 0.132
 
 
@@ -135,15 +136,30 @@ def test_quasistatic_constant_across_segments():
 def test_determinism_same_seed():
     a = make_ensemble(QS, 4, 6)
     b = make_ensemble(QS, 4, 6)
-    for ra, rb in zip(a, b):
-        assert np.array_equal(ra.delta, rb.delta)
-        assert np.array_equal(ra.delta_eta, rb.delta_eta)
+    assert np.array_equal(a.delta, b.delta)
+    assert np.array_equal(a.delta_eta, b.delta_eta)
 
 
 def same_bytes(ensemble, members):
-    return len(ensemble) == len(members) and all(
-        (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
-        for r, pair in zip(ensemble, members) for a, b in zip((r.delta, r.delta_eta), pair))
+    """The record's arrays byte for byte the members' ``(delta, delta_eta)``, stacked."""
+    return all((a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+               for a, b in zip((ensemble.delta, ensemble.delta_eta),
+                               (np.stack(part) for part in zip(*members))))
+
+
+def test_iterating_a_record_yields_its_members():
+    # perfbench/checks.py and perfbench/reference.py read an ensemble member by
+    # member (r.delta, r.delta_eta, r.channels): each member is a record
+    # without the leading axis, byte for byte the record's rows
+    for cfg in (QS, OF):
+        ensemble = make_ensemble(cfg, 3, 4)
+        members = list(ensemble)
+        assert len(members) == 4
+        for m, r in enumerate(members):
+            assert isinstance(r, Ensemble) and r.channels == ensemble.channels
+            assert r.delta.shape == (3, len(cfg.channels)) and r.delta_eta.shape == (3, 6)
+            for a, b in ((r.delta, ensemble.delta[m]), (r.delta_eta, ensemble.delta_eta[m])):
+                assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
 
 
 # a zero amplitude pins Generator.normal's 0.0 + sigma z, which turns -0.0
@@ -163,7 +179,7 @@ def test_members_follow_the_documented_draw_order(kind):
         for seed, N, M in itertools.product((0, 2**64 - 59), (1, 2, 5, 16), (1, 3, 20)):
             ensemble = make_ensemble(cfg, N, M, seed=seed)
             assert same_bytes(ensemble, make_ensemble_member_by_member(cfg, N, M, seed)), (cfg, N, M)
-            assert all(r.channels == cfg.channels for r in ensemble)
+            assert ensemble.channels == cfg.channels
 
 
 @pytest.mark.parametrize("block", [1, 3])
@@ -186,9 +202,9 @@ def test_make_ensemble_refuses_bad_sizes(cfg, N, M, name):
 def test_substreams_are_order_independent():
     # an ensemble's members do not depend on how many members follow
     for cfg in (QS, OF):
-        for a, b in zip(make_ensemble(cfg, 4, 4), make_ensemble(cfg, 4, 6)):
-            assert np.array_equal(a.delta, b.delta)
-            assert np.array_equal(a.delta_eta, b.delta_eta)
+        a, b = make_ensemble(cfg, 4, 4), make_ensemble(cfg, 4, 6)
+        assert np.array_equal(a.delta, b.delta[:4])
+        assert np.array_equal(a.delta_eta, b.delta_eta[:4])
 
 
 def one_fluctuator(nu):
@@ -277,12 +293,12 @@ def test_one_over_f_zero_amplitude():
 
 
 def test_one_over_f_sample_std():
-    vals = np.concatenate([r.delta.ravel() for r in make_ensemble(OF, 2, 600, seed=6)])
+    vals = make_ensemble(OF, 2, 600, seed=6).delta
     assert 0.19 <= vals.std() <= 0.21
 
 
 def test_one_over_f_stationary_mean():
-    vals = np.concatenate([r.delta.ravel() for r in make_ensemble(OF, 2, 400, seed=7)])
+    vals = make_ensemble(OF, 2, 400, seed=7).delta
     assert abs(vals.mean()) < 3.0 * 0.2 / np.sqrt(vals.size)
 
 
@@ -318,22 +334,22 @@ def test_periodogram_exponent():
 def test_perturb_angles():
     # the kernel applies eta -> eta * (1 + delta_eta) to U only; with no
     # slice noise U is the target of the perturbed angles
-    (real,) = make_ensemble(replace(QS, sigma_nonlocal=0.0), 2, 1, seed=9)
+    ensemble = make_ensemble(replace(QS, sigma_nonlocal=0.0), 2, 1, seed=9)
     angles = np.arange(12.0)
 
     def gates(x):
-        U, O = ensemble_gates(x, *ensemble_slices([real]))
+        U, O = ensemble_gates(x, *ensemble_slices(ensemble))
         return U[0], O
 
     U, O = gates(angles)
-    perturbed = angles * (1.0 + real.delta_eta.ravel())
+    perturbed = angles * (1.0 + ensemble.delta_eta.ravel())
     assert np.allclose(U, target_gate(SequenceParams(2, perturbed)), atol=1e-12)
     assert np.array_equal(O, target_gate(SequenceParams(2, angles)))
     assert not np.allclose(U, O, atol=1e-6)
-    real.delta_eta[:] = 0.0
+    ensemble.delta_eta[:] = 0.0
     U, O = gates(angles)
     assert np.array_equal(U, O)
-    real.delta_eta[:] = 0.01
+    ensemble.delta_eta[:] = 0.01
     U, _ = gates(np.full(12, np.pi / 2))
     assert np.allclose(U, target_gate(SequenceParams(2, np.full(12, 0.505 * np.pi))),
                        atol=1e-12)
@@ -355,10 +371,33 @@ def test_calibrate_amplitude():
     with pytest.raises(ValueError):
         calibrate_amplitude(0.0, cfg, 4, 50)
     sigma = calibrate_amplitude(0.10, cfg, 4, 200)
-    eps = uncorrected_error(replace(cfg, sigma_nonlocal=sigma), 4, 200)
+    eps = uncorrected_error(make_ensemble(replace(cfg, sigma_nonlocal=sigma), 4, 200))
     assert abs(eps - 0.10) <= 0.005
     sig_lo = calibrate_amplitude(0.05, cfg, 4, 100)
     sig_hi = calibrate_amplitude(0.20, cfg, 4, 100)
     assert sig_lo < sigma < sig_hi
     with pytest.raises(ValueError):
         calibrate_amplitude(0.7, cfg, 4, 10)
+
+
+@pytest.mark.parametrize("cfg", [QS, OF], ids=["quasistatic", "one_over_f"])
+def test_calibrate_amplitude_samples_once(monkeypatch, cfg):
+    # one draw at sigma_nonlocal = 1, scaled for every trial amplitude as
+    # 0.0 + sigma * delta: bit for bit the draw at that amplitude, although
+    # the two kinds scale their draws differently
+    import entseq.noise_model as nm
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return make_ensemble(*args, **kwargs)
+
+    monkeypatch.setattr(nm, "make_ensemble", counted)
+    calibrate_amplitude(0.10, cfg, 4, 50)
+    assert len(calls) == 1
+    for sigma_local in (0.0, 0.006):
+        unit = make_ensemble(replace(cfg, sigma_nonlocal=1.0, sigma_local=sigma_local), 3, 5)
+        for sigma in (0.01, 0.13, 0.7, 2.0):
+            drawn = make_ensemble(replace(cfg, sigma_nonlocal=sigma, sigma_local=sigma_local), 3, 5)
+            assert same_bytes(drawn, list(zip(0.0 + sigma * unit.delta, unit.delta_eta))), sigma

@@ -72,11 +72,6 @@ def test_objective_length_from_its_ensemble():
     assert SequenceObjective(make_ensemble(QS, 3, 2)).N == 3
 
 
-def test_objective_refuses_empty_ensemble():
-    with pytest.raises(ValueError, match="nonempty"):
-        SequenceObjective([])
-
-
 def test_objective_bit_identical_on_frozen_ensemble():
     ensemble = make_ensemble(QS, 3, 10)
     x = np.random.default_rng(2).uniform(-2, 2, 18)
