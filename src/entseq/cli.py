@@ -43,7 +43,6 @@ from .sequence_engine import (
     evaluate_solution,
     gate_error,
     target_gate,
-    uncorrected_error,
 )
 from .weyl_geometry import (
     cartan_decompose,
@@ -307,11 +306,10 @@ def cmd_calibrate(args):
     _output_dir(args.out)
     try:
         with _refused("calibration"):
-            sigma = calibrate_amplitude(target, noise, N, M)
+            sigma, eps = calibrate_amplitude(target, noise, N, M)
     except RuntimeError as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
         return 2
-    eps = uncorrected_error(make_ensemble(replace(noise, sigma_nonlocal=sigma), N, M))
     payload = {
         "target_uncorrected_error": target,
         "calibrated_sigma_nonlocal": sigma,

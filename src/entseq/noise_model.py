@@ -15,7 +15,7 @@ An ensemble of M sampled worlds is one ``Ensemble`` record:
 rates ``nu_f``.  Each fluctuator switches sign as a Poisson process of rate
 ``2 nu_f``, so read at sorted times it is a two-state Markov chain: a
 stationary +-1 at the first time, then a flip with probability
-``(1 - exp(-4 nu_f dt)) / 2`` across each gap ``dt`` (``telegraph_bank``).
+``(1 - exp(-4 nu_f dt)) / 2`` across each gap ``dt``.
 Only the values at the read times are drawn, never the switch events.
 
 Reproducibility: member ``m`` of an ensemble draws from an independent
@@ -189,9 +189,6 @@ def _band_weights(alpha, nu_min, nu_max, n_fluctuators):
     return w
 
 
-# time rows per block of telegraph_bank draws: bounds the temporaries of a
-# long trace without changing the draws or the states
-_TELEGRAPH_BLOCK = 1 << 14
 # members per block of make_ensemble's 1/f arithmetic: a member's temporaries
 # hold F + 1 uniforms per read, so a block bounds them at large N x M without
 # changing the members
@@ -199,12 +196,12 @@ _MEMBER_BLOCK = 64
 
 
 def _telegraph(rates, weights, t, up, u):
-    """A fluctuator bank carried across the gaps of the time-major read times
-    ``t`` ``(b + 1, ...)``: from the states ``up`` ``(..., F)`` at ``t[0]``, a
+    """The weighted fluctuator bank ``weights @ states`` at ``t[1:]``
+    ``(b, ...)``, carried across the gaps of the time-major read times ``t``
+    ``(b + 1, ...)``: from the states ``up`` ``(..., F)`` at ``t[0]``, a
     fluctuator flips across a gap ``dt`` where its uniform in ``u``
     ``(b, ..., F)`` is below ``(1 - exp(-4 nu dt)) / 2``, the chance of an odd
-    number of rate-``2 nu`` switches.  Returns ``weights @ states`` at
-    ``t[1:]`` ``(b, ...)`` and the states at ``t[-1]``."""
+    number of rate-``2 nu`` switches."""
     gaps = np.ascontiguousarray(np.diff(t, axis=0))[..., None]
     # thresholds first: the flips take their time-major layout whatever the
     # layout of u, so each step below works on whole contiguous rows
@@ -216,31 +213,7 @@ def _telegraph(rates, weights, t, up, u):
     while shift < len(states):
         states[shift:] ^= states[:-shift]
         shift *= 2
-    return np.where(states, 1.0, -1.0) @ weights, states[-1]
-
-
-def telegraph_bank(config, times, rng):
-    """The weighted fluctuator bank of ``config`` read at ``times``, shape
-    ``(..., n)`` and sorted along the last axis; independent banks along the
-    leading axes.  Returns ``fluctuator_weights(config) @ states``, shape
-    ``(..., n)``, where ``states`` holds each fluctuator's +-1 values.
-
-    Draw order: the initial states, one uniform per bank and fluctuator, then
-    the flips, one uniform per gap, bank and fluctuator, time-major.  A
-    fluctuator starts at a stationary +-1 (uniform below 0.5) and flips
-    across each gap as in ``make_ensemble``, which runs the same arithmetic.
-    """
-    rates = fluctuator_rates(config)
-    weights = fluctuator_weights(config)
-    t = np.moveaxis(np.asarray(times, dtype=float), -1, 0)
-    up = rng.random(t.shape[1:] + rates.shape) < 0.5
-    out = np.empty(t.shape)
-    out[0] = np.where(up, 1.0, -1.0) @ weights
-    for a in range(1, len(t), _TELEGRAPH_BLOCK):
-        block = t[a - 1:a + _TELEGRAPH_BLOCK]
-        u = rng.random((len(block) - 1,) + block.shape[1:] + rates.shape)
-        out[a:a + _TELEGRAPH_BLOCK], up = _telegraph(rates, weights, block, up, u)
-    return np.moveaxis(out, 0, -1)
+    return np.where(states, 1.0, -1.0) @ weights
 
 
 def _member_rng(seed, m):
@@ -257,14 +230,14 @@ def make_ensemble(config, N, M, seed=None):
     * 1/f: ``random(K N (F + 1))`` for ``K = C + 6`` fluctuator banks (one per
       channel and per angle slot) of ``F`` fluctuators, each bank read once
       per segment at a uniform time in its window: the ``(K, N)`` read times,
-      then the banks' initial states ``(K, F)`` and flips ``(N - 1, K, F)``
-      in ``telegraph_bank``'s order.
+      then the banks' initial states ``(K, F)`` (a fluctuator starts at +1
+      where its uniform is below 0.5) and flips ``(N - 1, K, F)``, time-major.
 
     Only the draws are per member.  Scaling them and the telegraph arithmetic
     run once per block of members, and each draw is scaled as
     ``Generator.normal`` and ``Generator.uniform`` scale it (``0.0 + sigma z``,
     ``lo + (hi - lo) u``), so every member is bit-equal to drawing it with
-    those calls and ``telegraph_bank``.
+    those calls, member by member.
     """
     for name, value in (("N", N), ("M", M)):
         if not (is_int(value) and value >= 1):
@@ -292,7 +265,7 @@ def make_ensemble(config, N, M, seed=None):
             block = banks[:, a:a + _MEMBER_BLOCK]
             block[0] = np.where(up, 1.0, -1.0) @ weights
             if N > 1:
-                block[1:] = _telegraph(rates, weights, t, up, s[1:])[0]
+                block[1:] = _telegraph(rates, weights, t, up, s[1:])
         banks = np.moveaxis(banks, 0, 1)
         delta = config.sigma_nonlocal * banks[..., :C]
         delta_eta = config.sigma_local * banks[..., C:]

@@ -423,7 +423,7 @@ def cascade_optimize(N_list, noise_config, optimizer_config, out=None,
                     "ensemble_seed": ensemble_seed,
                     "search_seed": search_seed,
                 },
-                epsilon_uncorrected=obj.metrics(np.zeros(6 * N)).epsilon,
+                epsilon_uncorrected=float(np.mean(gate_error(*obj.gates(np.zeros(6 * N))))),
             )
         except np.linalg.LinAlgError as exc:
             if progress is not None:

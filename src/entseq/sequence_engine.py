@@ -216,7 +216,8 @@ CALIBRATION_MAX_SIGMA = 2.0  # bracketing the target gives up above this amplitu
 
 def calibrate_amplitude(target, config, N, M):
     """Bisect sigma_nonlocal until the identity-rotation (uncorrected) gate
-    error matches the target within ``CALIBRATION_REL_TOL`` relative.
+    error matches the target within ``CALIBRATION_REL_TOL`` relative; returns
+    ``(sigma, eps)``, the amplitude and its uncorrected error.
 
     One ensemble, drawn at ``sigma_nonlocal = 1`` and scaled for each trial to
     ``0.0 + sigma * delta`` (bit for bit its draw at sigma), makes the bisected
@@ -241,9 +242,10 @@ def calibrate_amplitude(target, config, N, M):
         mid = 0.5 * (lo + hi)
         eps = eps_at(mid)
         if abs(eps - target) <= CALIBRATION_REL_TOL * target:
-            return mid
+            return mid, eps
         if eps < target:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    sigma = 0.5 * (lo + hi)
+    return sigma, eps_at(sigma)

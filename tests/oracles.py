@@ -9,8 +9,9 @@ coordinates.  The perfect-entangler fidelity is checked against the
 three-face formula on the folded Weyl coordinates.  Expected values frozen
 into the tests were produced by these functions.
 
-The Haar-random generators draw test gates, ``sample_noise_trace`` with
-``fit_spectral_exponent`` measure the spectrum of the package's 1/f noise,
+The Haar-random generators draw test gates, ``telegraph_bank`` is the
+reference for the package's 1/f arithmetic, ``sample_noise_trace`` with
+``fit_spectral_exponent`` measure the spectrum of its traces,
 ``make_ensemble_member_by_member`` is the frozen per-member noise sampler,
 ``estimate_local_fidelity`` is the Monte-Carlo harness of criterion 6, and
 ``any_value`` draws arbitrary field values for the config validation
@@ -23,7 +24,7 @@ from scipy.linalg import expm
 from scipy.signal import welch
 
 from entseq.gate_algebra import local_rotation, trace_fidelity
-from entseq.noise_model import QUASISTATIC, fluctuator_rates, fluctuator_weights, telegraph_bank
+from entseq.noise_model import QUASISTATIC, fluctuator_rates, fluctuator_weights
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -143,6 +144,33 @@ def random_local(rng):
     return np.kron(random_su2(rng), random_su2(rng))
 
 
+def telegraph_bank(config, times, rng):
+    """The weighted fluctuator bank of ``config`` read at ``times``, shape
+    ``(..., n)`` and sorted along the last axis; independent banks along the
+    leading axes.  Returns ``fluctuator_weights(config) @ states``, shape
+    ``(..., n)``, where ``states`` holds each fluctuator's +-1 values.
+
+    Draw order: the initial states, one uniform per bank and fluctuator (+1
+    below 0.5), then the flips, one uniform per gap, bank and fluctuator,
+    time-major.  A fluctuator flips across a gap ``dt`` where its uniform is
+    below ``(1 - exp(-4 nu dt)) / 2``; the states are the running XOR of the
+    flips.
+    """
+    rates = fluctuator_rates(config)
+    weights = fluctuator_weights(config)
+    t = np.moveaxis(np.asarray(times, dtype=float), -1, 0)
+    up = rng.random(t.shape[1:] + rates.shape) < 0.5
+    gaps = np.diff(t, axis=0)[..., None]
+    flips = rng.random(gaps.shape[:-1] + rates.shape) < -0.5 * np.expm1(-4.0 * rates * gaps)
+    flips[:1] ^= up
+    # the first read in a product of its own, as make_ensemble computes it:
+    # BLAS may round a row differently by its place in a product
+    out = np.empty(t.shape)
+    out[0] = np.where(up, 1.0, -1.0) @ weights
+    out[1:] = np.where(np.logical_xor.accumulate(flips, axis=0), 1.0, -1.0) @ weights
+    return np.moveaxis(out, 0, -1)
+
+
 def sample_noise_trace(config, duration, sample_rate, rng):
     """One summed, weighted fluctuator bank on a uniform time grid."""
     t = np.arange(0.0, duration, 1.0 / sample_rate)
@@ -151,12 +179,12 @@ def sample_noise_trace(config, duration, sample_rate, rng):
 
 def make_ensemble_member_by_member(config, N, M, seed=None):
     """``(delta, delta_eta)`` of each member of ``noise_model.make_ensemble``,
-    drawn one member at a time with ``Generator.normal`` and
-    ``Generator.uniform`` and the telegraph arithmetic written out here.
+    drawn one member at a time with ``Generator.normal``,
+    ``Generator.uniform`` and :func:`telegraph_bank`.
 
     This is the sampler as it was before its arithmetic was batched, frozen:
     the package's members must match it byte for byte.  A member's 1/f banks
-    are read once per segment (N <= 16384 keeps the flips in one block).
+    are read once per segment.
     """
     seed = config.seed if seed is None else seed
     C = len(config.channels)
@@ -169,17 +197,7 @@ def make_ensemble_member_by_member(config, N, M, seed=None):
             delta = np.tile(rng.normal(0.0, config.sigma_nonlocal, C), (N, 1))
             delta_eta = rng.normal(0.0, config.sigma_local, (N, 6))
         else:
-            rates = fluctuator_rates(config)
-            weights = fluctuator_weights(config)
-            t = rng.uniform(lo, hi, (C + 6, N)).T
-            up = rng.random((C + 6,) + rates.shape) < 0.5
-            banks = np.empty(t.shape)
-            banks[0] = np.where(up, 1.0, -1.0) @ weights
-            if N > 1:
-                gaps = np.diff(t, axis=0)[..., None]
-                flips = rng.random(gaps.shape[:-1] + rates.shape) < -0.5 * np.expm1(-4.0 * rates * gaps)
-                flips[0] ^= up
-                banks[1:] = np.where(np.logical_xor.accumulate(flips, axis=0), 1.0, -1.0) @ weights
+            banks = telegraph_bank(config, rng.uniform(lo, hi, (C + 6, N)), rng).T
             delta = config.sigma_nonlocal * banks[:, :C]
             delta_eta = config.sigma_local * banks[:, C:]
         members.append((delta, delta_eta))

@@ -71,7 +71,7 @@ def line(num, ok, detail):
 @pytest.fixture(scope="module")
 def qs_calibration():
     base = NoiseConfig(kind=QUASISTATIC, seed=ROOT_SEED)
-    sigma = calibrate_amplitude(0.10, base, N=4, M=200)
+    sigma, _ = calibrate_amplitude(0.10, base, N=4, M=200)
     return replace(base, sigma_nonlocal=sigma)
 
 

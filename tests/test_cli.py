@@ -283,7 +283,7 @@ def test_contour_monotone_in_nonlocal_sigma(solution_dir, tmp_path):
     assert eps[0] < eps[1] < eps[2]
 
 
-def test_calibrate_command(tmp_path, capsys):
+def test_calibrate_command(tmp_path, capsys, monkeypatch):
     spec = {
         "schema_version": 1,
         "noise": NoiseConfig(seed=13).to_dict(),
@@ -291,7 +291,17 @@ def test_calibrate_command(tmp_path, capsys):
         "M": 100,
     }
     cfg = write_spec(tmp_path, spec, "cal.json")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return make_ensemble(*args, **kwargs)
+
+    # the reported error is the bisection's own score: the ensemble is drawn once
+    monkeypatch.setattr(noise_model, "make_ensemble", counted)
+    monkeypatch.setattr(cli, "make_ensemble", counted)
     assert run(["calibrate", "--config", cfg, "--target", "0.1"]) == 0
+    assert len(calls) == 1
     payload = json.loads(capsys.readouterr().out)
     assert abs(payload["achieved_uncorrected_error"] - 0.1) <= 0.005
     assert payload["calibrated_sigma_nonlocal"] > 0.1

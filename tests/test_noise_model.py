@@ -17,7 +17,6 @@ from entseq.noise_model import (
     fluctuator_weights,
     make_ensemble,
     spectral_weight_exponent,
-    telegraph_bank,
 )
 from entseq.sequence_engine import (
     SequenceParams,
@@ -34,6 +33,7 @@ from oracles import (
     fit_spectral_exponent,
     make_ensemble_member_by_member,
     sample_noise_trace,
+    telegraph_bank,
 )
 
 QS = NoiseConfig(kind=QUASISTATIC, sigma_nonlocal=0.13, sigma_local=0.01, seed=1)
@@ -277,15 +277,6 @@ def test_telegraph_time_average_near_zero():
     assert abs(x.mean()) < 3.0 / np.sqrt(n_eff)
 
 
-def test_telegraph_blocks_do_not_change_the_bank(monkeypatch):
-    import entseq.noise_model as nm
-
-    times = np.sort(np.random.default_rng(16).uniform(0.0, 100.0, (3, 1000)))
-    whole = telegraph_bank(OF, times, np.random.default_rng(17))
-    monkeypatch.setattr(nm, "_TELEGRAPH_BLOCK", 7)
-    assert np.array_equal(telegraph_bank(OF, times, np.random.default_rng(17)), whole)
-
-
 def test_one_over_f_zero_amplitude():
     cfg = replace(OF, sigma_nonlocal=0.0, sigma_local=0.0)
     (real,) = make_ensemble(cfg, 4, 1, seed=0)
@@ -370,14 +361,26 @@ def test_calibrate_amplitude():
     cfg = replace(QS, sigma_local=0.0, seed=21)
     with pytest.raises(ValueError):
         calibrate_amplitude(0.0, cfg, 4, 50)
-    sigma = calibrate_amplitude(0.10, cfg, 4, 200)
-    eps = uncorrected_error(make_ensemble(replace(cfg, sigma_nonlocal=sigma), 4, 200))
+    sigma, eps = calibrate_amplitude(0.10, cfg, 4, 200)
+    # the returned error is the score of the ensemble drawn at sigma, bit for bit
+    assert eps == uncorrected_error(make_ensemble(replace(cfg, sigma_nonlocal=sigma), 4, 200))
     assert abs(eps - 0.10) <= 0.005
-    sig_lo = calibrate_amplitude(0.05, cfg, 4, 100)
-    sig_hi = calibrate_amplitude(0.20, cfg, 4, 100)
+    sig_lo, _ = calibrate_amplitude(0.05, cfg, 4, 100)
+    sig_hi, _ = calibrate_amplitude(0.20, cfg, 4, 100)
     assert sig_lo < sigma < sig_hi
     with pytest.raises(ValueError):
         calibrate_amplitude(0.7, cfg, 4, 10)
+
+
+def test_calibrate_amplitude_scores_the_returned_sigma(monkeypatch):
+    # with no tolerance the bisection runs all its rounds and returns the
+    # midpoint of the last bracket, which no round has scored
+    import entseq.sequence_engine as se
+
+    monkeypatch.setattr(se, "CALIBRATION_REL_TOL", 0.0)
+    cfg = replace(QS, sigma_local=0.0, seed=21)
+    sigma, eps = calibrate_amplitude(0.10, cfg, 4, 20)
+    assert eps == uncorrected_error(make_ensemble(replace(cfg, sigma_nonlocal=sigma), 4, 20))
 
 
 @pytest.mark.parametrize("cfg", [QS, OF], ids=["quasistatic", "one_over_f"])

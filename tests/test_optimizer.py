@@ -11,6 +11,9 @@ from hypothesis import given, settings, strategies as st
 from entseq import optimizer
 from entseq.noise_model import NoiseConfig, ONE_OVER_F, make_ensemble
 from entseq.optimizer import (
+    PE_J_MARGIN,
+    PE_TARGET,
+    Descent,
     OptimizerConfig,
     SequenceObjective,
     TERM_LINE_SEARCH,
@@ -18,6 +21,7 @@ from entseq.optimizer import (
     TERM_TOL_GRADJ,
     TERM_TOL_J,
     _lbfgs,
+    _search,
     cascade_optimize,
     classify_termination,
     derived_seed,
@@ -325,6 +329,72 @@ def test_polish_reuses_known_start_values(monkeypatch):
     starts = [x0] + [res.x for res in log[:-1]]
     assert all(res.history[0] == value(x) for res, x in zip(log, starts))
     assert evaluated == []
+
+
+CLEAN, DIRTY = PE_TARGET, 10.0 * PE_TARGET
+
+
+def scripted_search(monkeypatch, script):
+    """``_search`` from one init on scripted descents.  ``script[k]`` is
+    ``(J, eps_PE, value)`` of the k-th descent the search runs (``value`` is
+    its J under the true objective); descent k ends at the point filled
+    with k.  Returns the selected descent, the ``(start, d_weight)`` of each
+    descent, start -1 for the init, and the d_weight of each ``value`` call."""
+    descents, values = [], []
+
+    def polish(obj, x0, config, log, d_weight=1.0):
+        k = len(descents)
+        descents.append((round(float(x0[0])), d_weight))
+        log.append(Descent(np.full(6, float(k)), script[k][0], 1, "", [script[k][0]]))
+        return log[-1]
+
+    class Scripted:
+        def epsilon_pe(self, x):
+            return script[int(x[0])][1]
+
+        def value(self, x, d_weight=1.0):
+            values.append(d_weight)
+            return script[int(x[0])][2]
+
+    monkeypatch.setattr(optimizer, "_polish", polish)
+    config = OptimizerConfig(ensemble_size=1, polish_rounds=1, n_kicks=0)
+    best = _search(Scripted(), [np.full(6, -1.0)], config, np.random.default_rng(0), [])
+    return best, descents, values
+
+
+def test_search_prefers_a_clean_candidate_within_the_margin(monkeypatch):
+    # the clean candidate's J sits on the margin: it beats the lower J, and
+    # no repair descent runs
+    best, descents, values = scripted_search(
+        monkeypatch, [(1.0, DIRTY, None), (PE_J_MARGIN, CLEAN, None)])
+    assert best.x[0] == 1 and best.J == PE_J_MARGIN
+    assert descents == [(-1, 1.0), (-1, 1.0)] and values == []
+
+
+def test_search_takes_the_lowest_J_past_the_margin(monkeypatch):
+    # no clean candidate within the margin: every repair weight runs, each
+    # pushed from the lowest-J descent and re-polished from its end point,
+    # and the lowest J is selected
+    repairs = [(5.0, DIRTY, 2.0), (1.5, DIRTY, None)] * 3
+    best, descents, values = scripted_search(
+        monkeypatch, [(1.0, DIRTY, None), (PE_J_MARGIN + 0.01, CLEAN, None)] + repairs)
+    assert best.x[0] == 0 and best.J == 1.0
+    assert descents == [(-1, 1.0), (-1, 1.0),
+                        (0, 4.0), (2, 1.0), (0, 16.0), (4, 1.0), (0, 64.0), (6, 1.0)]
+    assert values == [1.0, 1.0, 1.0]
+
+
+def test_search_repair_stops_at_the_first_clean_selection(monkeypatch):
+    # the weight-16 push ends clean: its J is replaced by J under the true
+    # objective (PE_J_MARGIN, not the pushed descent's 5.0), which selects it
+    # over the re-polish after it, so the weight-64 push never runs
+    best, descents, values = scripted_search(monkeypatch, [
+        (1.0, DIRTY, None), (2.0, DIRTY, None),
+        (5.0, DIRTY, 1.5), (1.5, DIRTY, None),
+        (5.0, CLEAN, PE_J_MARGIN), (1.0, DIRTY, None)])
+    assert best.x[0] == 4 and best.J == PE_J_MARGIN
+    assert [w for _, w in descents] == [1.0, 1.0, 4.0, 1.0, 16.0, 1.0]
+    assert values == [1.0, 1.0]
 
 
 def test_initialize_guess_tiling_rules():
