@@ -306,15 +306,17 @@ def cmd_calibrate(args):
     _output_dir(args.out)
     try:
         with _refused("calibration"):
-            sigma, eps = calibrate_amplitude(target, noise, N, M)
+            sigma, errors = calibrate_amplitude(target, noise, N, M)
     except RuntimeError as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
         return 2
+    eps = float(np.mean(errors))
     payload = {
         "target_uncorrected_error": target,
         "calibrated_sigma_nonlocal": sigma,
         "achieved_uncorrected_error": eps,
-        "mc_rel_std_estimate": 1.0 / np.sqrt(M),
+        "mc_rel_std_estimate": (float(np.std(errors, ddof=1) / (np.sqrt(M) * eps))
+                                if M > 1 else None),
         "N": N,
         "M": M,
         "seed": noise.seed,

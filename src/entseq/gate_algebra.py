@@ -73,19 +73,6 @@ def _su2_zyz(gamma, beta, alpha):
     return u
 
 
-def _su2_zyz_grad(gamma, beta, alpha):
-    """:func:`_su2_zyz` ``u`` and its derivatives by (gamma, beta, alpha),
-    shape ``(..., 3, 2, 2)``: ``(i/2) Z u``, ``u(beta + pi) / 2`` and
-    ``u (i/2) Z``."""
-    u = _su2_zyz(gamma, beta, alpha)
-    half_iz = np.array([0.5j, -0.5j])
-    du = np.empty(u.shape[:-2] + (3, 2, 2), dtype=complex)
-    du[..., 0, :, :] = half_iz[:, None] * u
-    du[..., 1, :, :] = 0.5 * _su2_zyz(gamma, np.asarray(beta) + np.pi, alpha)
-    du[..., 2, :, :] = u * half_iz
-    return u, du
-
-
 def local_rotation(angles):
     """Tensor product of two ZYZ Euler rotations, one per qubit.
 
@@ -100,28 +87,6 @@ def local_rotation(angles):
     u2 = _su2_zyz(angles[..., 3], angles[..., 4], angles[..., 5])
     out = np.einsum("...ij,...kl->...ikjl", u1, u2)
     return out.reshape(out.shape[:-4] + (4, 4))
-
-
-def local_rotation_grad(angles, W):
-    """Gradient of ``Re tr(W R)``, ``R = local_rotation(angles)``, by the six
-    angles: shape ``(..., 6)`` for ``angles`` ``(..., 6)`` and ``W``
-    ``(..., 4, 4)``.
-
-    ``R = u1 (x) u2``, so the derivative by an angle of u1 is
-    ``tr(X1 du1)`` with ``X1`` the partial trace of ``W (1 (x) u2)`` over
-    the second qubit, and likewise for u2.
-    """
-    angles = np.asarray(angles, dtype=float)
-    if angles.shape[-1] != 6:
-        raise ValueError(f"expected 6 Euler angles per rotation, got shape {angles.shape}")
-    u1, du1 = _su2_zyz_grad(angles[..., 0], angles[..., 1], angles[..., 2])
-    u2, du2 = _su2_zyz_grad(angles[..., 3], angles[..., 4], angles[..., 5])
-    W = np.reshape(W, np.shape(W)[:-2] + (2, 2, 2, 2))   # W[(i1 i2), (j1 j2)]
-    X1 = np.einsum("...abcd,...db->...ac", W, u2)
-    X2 = np.einsum("...abcd,...ca->...bd", W, u1)
-    g1 = np.einsum("...ac,...sca->...s", X1, du1)
-    g2 = np.einsum("...bd,...sdb->...s", X2, du2)
-    return np.concatenate([g1, g2], axis=-1).real
 
 
 def trace_fidelity(U, O):

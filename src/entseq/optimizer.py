@@ -16,8 +16,9 @@ noise-free target O; J and the reported metrics are pure functions of
 (U, O).  This module holds J, its cotangents with respect to U and O, and
 the search.  Minimization uses SciPy's L-BFGS-B with the exact gradient of
 J: the kernel's reverse pass (``sequence_engine.ensemble_gates_vjp``) pulls
-the cotangents back through the same chain to the angles, so a gradient
-costs a few evaluations of J, whatever N.
+the cotangents back through the same chain to the angles as traces against
+the Pauli frames ``SequenceObjective`` builds once per ensemble, so a
+gradient costs about two evaluations of J, whatever N.
 The termination conditions map one-to-one onto L-BFGS-B's ``ftol``
 (relative J decrease with the max{|J_k|, |J_k+1|, 1} denominator) and
 ``pgtol`` (projected-gradient max-norm), fixed at ``TOL_J`` and ``TOL_GRADJ``.
@@ -53,6 +54,7 @@ from .sequence_engine import (
     ensemble_metrics,
     ensemble_slices,
     gate_error,
+    pauli_frames,
 )
 from .weyl_geometry import pe_functional_many, pe_functional_value_and_grad
 
@@ -162,6 +164,7 @@ class SequenceObjective:
 
     def __init__(self, ensemble):
         self.slices, self.delta_eta = ensemble_slices(ensemble)
+        self.frames = pauli_frames(self.slices)
         self.N = self.slices.shape[1]
 
     def gates(self, x):
@@ -182,7 +185,7 @@ class SequenceObjective:
     def value_and_grad(self, x, d_weight=1.0):
         """J at x (bit-identical to :meth:`value`) and its exact gradient, the
         kernel's pullback of J's cotangents; D and its cotangent share one pass."""
-        U, O, pullback = ensemble_gates_vjp(x, self.slices, self.delta_eta)
+        U, O, pullback = ensemble_gates_vjp(x, self.slices, self.delta_eta, self.frames)
         D, G_D = pe_functional_value_and_grad(U)
         J = objective_value(U, O, D, d_weight)
         return J, pullback(*objective_cotangents(U, O, G_D, d_weight))

@@ -17,7 +17,9 @@ segment operators ``F_mn R_n``, multiplied out in one loop.
 the target appended as the last, noise-free member (``F = Z_N``,
 ``delta_eta = 0``).  ``ensemble_gates`` runs the chain over all members and
 returns (U, O), ``target_gate`` runs it on one noise-free member, and
-``ensemble_gates_vjp`` adds the reverse pass over the same chain.  The
+``ensemble_gates_vjp`` adds the reverse pass, which reads each angle's
+derivative as a trace of ``suffix @ cotangent @ prefix`` against a Pauli
+matrix or a frame ``F_mn s F_mn^dag`` built once by ``pauli_frames``.  The
 metrics are pure functions of (U, O) (``ensemble_metrics`` here, J and its
 cotangents in ``optimizer``).
 
@@ -37,7 +39,6 @@ import numpy as np
 from .gate_algebra import (
     expm_hermitian,
     local_rotation,
-    local_rotation_grad,
     pauli_stack,
     trace_fidelity,
 )
@@ -117,6 +118,21 @@ def ensemble_slices(ensemble):
     return factors, delta_eta
 
 
+# Z, Y and X of qubit 1, then of qubit 2: the Paulis whose frames the angle
+# gradient reads; and the diagonals of Z_1, Z_2 as columns
+_FRAME_PAULIS = pauli_stack(((3, 0), (2, 0), (1, 0), (0, 3), (0, 2), (0, 1)))
+_Z_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+
+
+def pauli_frames(factors):
+    """The frames ``K^s = F_mn s F_mn^dag`` of a layout's fixed factors for
+    the six ``_FRAME_PAULIS`` s, ``(N, M + 1, 6, 16)``: each transposed and
+    flattened, so that ``tr(K^s C)`` is its dot product with ``C`` flattened."""
+    F = np.swapaxes(factors, 0, 1)[:, :, None]
+    K = F @ _FRAME_PAULIS @ np.conj(np.swapaxes(F, -1, -2))
+    return np.swapaxes(K, -1, -2).reshape(K.shape[:-2] + (16,))
+
+
 def _chain(angles, factors, delta_eta):
     """The chain over a layout from ``ensemble_slices``: the perturbed angles
     ``p_mn = x_n (1 + delta_eta_mn)`` ``(M + 1, N, 6)``, the segment operators
@@ -148,32 +164,48 @@ def ensemble_gates(angles, factors, delta_eta):
     return chain[:-1], chain[-1]
 
 
-def ensemble_gates_vjp(angles, factors, delta_eta):
+def ensemble_gates_vjp(angles, factors, delta_eta, frames):
     """``(U, O)`` as :func:`ensemble_gates`, and ``pullback(G_U, G_O)``, the
-    gradient by the 6N angles of ``sum_m Re tr(G_U[m] U_m) + Re tr(G_O O)``.
+    gradient by the 6N angles of ``sum_m Re tr(G_U[m] U_m) + Re tr(G_O O)``;
+    ``frames`` are :func:`pauli_frames` of ``factors``.
 
-    Member m of the chain (the target O being the last) is
-    ``P_k F_mk R(p_mk) S_k`` with the prefix products ``P_k = T_(N-1) ... T_(k+1)``,
-    the suffix products ``S_k = T_(k-1) ... T_0`` and
-    ``p_mk = x_k (1 + delta_eta_mk)``, so with ``G_m`` its cotangent the
-    derivative by ``x_ks`` is
-    ``sum_m Re tr(S_k G_m P_k F_mk dR_s(p_mk)) (1 + delta_eta_mks)``.
+    Member m of the chain (the target O being the last) is ``P_k T_k S_k``,
+    ``T_k = F_k R(p_k)``, with the prefix ``P_k = T_(N-1) ... T_(k+1)``
+    (``P_-1 = U``), the suffix ``S_k = T_(k-1) ... T_0`` (``S_N = U``) and
+    ``p_k = x_k (1 + delta_eta_mk)``.  With ``G`` its cotangent the pullback
+    forms ``C_j = S_j G P_(j-1)`` for j = 0..N (``C_0 = G U``, ``C_N = U G``),
+    building the suffix as it goes.  For qubit q of segment k, with
+    ``K^s = F_k s F_k^dag`` and gamma_q the perturbed angle,
+
+        d alpha_q = Re[(i/2) tr(Z_q C_k)]
+        d gamma_q = Re[(i/2) tr(K^Z_q C_(k+1))]
+        d beta_q  = Re[(i/2) (cos gamma_q tr(K^Y_q C_(k+1))
+                              + sin gamma_q tr(K^X_q C_(k+1)))]
+
+    and the derivative by ``x_k`` sums these over members, times
+    ``1 + delta_eta_mk``.
     """
     perturbed, T, prefix, chain = _chain(angles, factors, delta_eta)
-    # the suffix products now, while T is still in cache
-    suffix = np.empty_like(prefix)
-    suffix[0] = np.eye(4)
-    for k in range(1, len(suffix)):
-        suffix[k] = T[..., k - 1, :, :] @ suffix[k - 1]
+    N = T.shape[-3]
 
     def pullback(G_U, G_O):
         G = np.concatenate([G_U, G_O[None]])
-        # segment-major, like the partial products
-        W = suffix @ G @ prefix @ np.swapaxes(factors, 0, 1)
-        g = local_rotation_grad(perturbed, np.swapaxes(W, 0, 1))
-        one_plus_de = 1.0 + delta_eta
+        C = np.empty((N + 1,) + G.shape, dtype=complex)
+        C[0] = G @ chain
+        C[1:N] = G @ prefix[:-1]
+        S = T[:, 0]
+        for j in range(1, N):
+            C[j] = S @ C[j]
+            S = T[:, j] @ S
+        C[N] = chain @ G
+        # Re[(i/2) tr] = -Im[tr] / 2; each qubit's Z, Y, X slots become its gamma, beta, alpha
+        g = -0.5 * (frames @ C[1:].reshape(N, -1, 16, 1))[..., 0].imag
+        gamma = np.swapaxes(perturbed[..., ::3], 0, 1)
+        g[..., 1::3] = np.cos(gamma) * g[..., 1::3] + np.sin(gamma) * g[..., 2::3]
+        g[..., 2::3] = -0.5 * (np.diagonal(C[:-1], axis1=-2, axis2=-1) @ _Z_SIGNS).imag
+        g = np.swapaxes(g, 0, 1)
         # the target's factor 1 + delta_eta is exactly 1
-        return ((g[:-1] * one_plus_de[:-1]).sum(axis=0) + g[-1]).ravel()
+        return ((g[:-1] * (1.0 + delta_eta[:-1])).sum(axis=0) + g[-1]).ravel()
 
     return chain[:-1], chain[-1], pullback
 
@@ -204,10 +236,10 @@ def evaluate_solution(params, ensemble):
     return ensemble_metrics(*ensemble_gates(params.angles, *ensemble_slices(ensemble)))
 
 
-def uncorrected_error(ensemble):
-    """Mean gate error of the identity-rotation sequence (no correction) on an ensemble."""
-    U, O = ensemble_gates(np.zeros(6 * ensemble.delta.shape[1]), *ensemble_slices(ensemble))
-    return float(np.mean(gate_error(U, O)))
+def uncorrected_errors(ensemble):
+    """Gate error of each member under identity rotations (no correction)."""
+    return gate_error(*ensemble_gates(np.zeros(6 * ensemble.delta.shape[1]),
+                                      *ensemble_slices(ensemble)))
 
 
 CALIBRATION_REL_TOL = 0.05   # bisection stops this close to the target, relative
@@ -217,7 +249,7 @@ CALIBRATION_MAX_SIGMA = 2.0  # bracketing the target gives up above this amplitu
 def calibrate_amplitude(target, config, N, M):
     """Bisect sigma_nonlocal until the identity-rotation (uncorrected) gate
     error matches the target within ``CALIBRATION_REL_TOL`` relative; returns
-    ``(sigma, eps)``, the amplitude and its uncorrected error.
+    ``(sigma, errors)``, the amplitude and its members' uncorrected errors.
 
     One ensemble, drawn at ``sigma_nonlocal = 1`` and scaled for each trial to
     ``0.0 + sigma * delta`` (bit for bit its draw at sigma), makes the bisected
@@ -228,11 +260,11 @@ def calibrate_amplitude(target, config, N, M):
         raise ValueError(f"target error must be a number in (0, 0.5), got {target!r}")
     unit = noise_model.make_ensemble(replace(config, sigma_nonlocal=1.0), N, M)
 
-    def eps_at(sigma):
-        return uncorrected_error(replace(unit, delta=0.0 + sigma * unit.delta))
+    def errors_at(sigma):
+        return uncorrected_errors(replace(unit, delta=0.0 + sigma * unit.delta))
 
     lo, hi = 0.0, max(config.sigma_nonlocal, 0.05)
-    while eps_at(hi) < target:
+    while np.mean(errors_at(hi)) < target:
         hi *= 2.0
         if hi > CALIBRATION_MAX_SIGMA:
             raise RuntimeError(
@@ -240,12 +272,13 @@ def calibrate_amplitude(target, config, N, M):
             )
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        eps = eps_at(mid)
+        errors = errors_at(mid)
+        eps = np.mean(errors)
         if abs(eps - target) <= CALIBRATION_REL_TOL * target:
-            return mid, eps
+            return mid, errors
         if eps < target:
             lo = mid
         else:
             hi = mid
     sigma = 0.5 * (lo + hi)
-    return sigma, eps_at(sigma)
+    return sigma, errors_at(sigma)

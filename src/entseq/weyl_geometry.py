@@ -234,25 +234,27 @@ def pe_functional_value_and_grad(U):
     ``_magic_gram``), and ``dd = Re[alpha da - beta db]`` with
     ``alpha = r/4 + g3 conj(g1 + i g2)/(16 r) - 1/16`` and ``beta = r/4``.
     ``D = |d|`` where the same side test as in :func:`pe_functional_many`
-    holds, so ``G = sign(d) (alpha A - beta B)`` there.  r > 0 wherever it
-    holds: r = 0 means g1 = g2 = 0, so d = 0.
+    holds, so ``G = sign(d) (alpha A - beta B)`` there, computed on those
+    rows only.  r > 0 wherever it holds: r = 0 means g1 = g2 = 0, so d = 0.
     """
     V, m, c = _magic_gram(U)
     g, tr, tr_m2 = _gram_invariants(m)
     D, d, outside = _pe_side(g)
+    G = np.zeros(np.shape(U), dtype=complex)
     if not outside.any():
-        return D, np.zeros(np.shape(U), dtype=complex)
-    g1, g2, g3 = g
+        return D, G
+    U, V, m, c, tr, tr_m2, d, g1, g2, g3 = (
+        a[outside] for a in (np.asarray(U), V, m, c, tr, tr_m2, d) + g)
     r = np.hypot(g1, g2)
-    alpha = r / 4.0 + g3 * (g1 - 1j * g2) / (16.0 * np.where(outside, r, 1.0)) - 1.0 / 16.0
+    alpha = r / 4.0 + g3 * (g1 - 1j * g2) / (16.0 * r) - 1.0 / 16.0
     beta = r / 4.0
-    sign = np.where(outside, np.sign(d), 0.0)
     # alpha A - beta B = (4/c) MAGIC (alpha tr(m) - beta m) V^T MAGIC^dag
     #                    - (alpha a - beta b) U^dag
     core = (alpha * tr)[..., None, None] * np.eye(4) - beta[..., None, None] * m
-    G = (4.0 / c) * (MAGIC @ core @ np.swapaxes(V, -1, -2) @ _MAGIC_DAG)
-    G -= (alpha * tr * tr - beta * tr_m2)[..., None, None] * np.conj(np.swapaxes(U, -1, -2))
-    return D, sign[..., None, None] * G
+    G_out = (4.0 / c) * (MAGIC @ core @ np.swapaxes(V, -1, -2) @ _MAGIC_DAG)
+    G_out -= (alpha * tr * tr - beta * tr_m2)[..., None, None] * np.conj(np.swapaxes(U, -1, -2))
+    G[outside] = np.sign(d)[..., None, None] * G_out
+    return D, G
 
 
 def pe_functional_D(U):

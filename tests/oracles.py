@@ -9,7 +9,10 @@ coordinates.  The perfect-entangler fidelity is checked against the
 three-face formula on the folded Weyl coordinates.  Expected values frozen
 into the tests were produced by these functions.
 
-The Haar-random generators draw test gates, ``telegraph_bank`` is the
+``chain_angle_gradient`` is the reference for the reverse pass: the
+partial traces of ``local_rotation_grad`` over stored prefix and suffix
+products, and ``pe_cotangent_every_row`` for the PE cotangent.  The
+Haar-random generators draw test gates, ``telegraph_bank`` is the
 reference for the package's 1/f arithmetic, ``sample_noise_trace`` with
 ``fit_spectral_exponent`` measure the spectrum of its traces,
 ``make_ensemble_member_by_member`` is the frozen per-member noise sampler,
@@ -23,8 +26,9 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.signal import welch
 
-from entseq.gate_algebra import local_rotation, trace_fidelity
+from entseq.gate_algebra import _su2_zyz, local_rotation, trace_fidelity
 from entseq.noise_model import QUASISTATIC, fluctuator_rates, fluctuator_weights
+from entseq import weyl_geometry as wg
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -87,6 +91,79 @@ def sequence_gate_expm(angles, delta, channels, delta_eta):
         R = np.kron(zyz_expm(*x[n, :3]), zyz_expm(*x[n, 3:]))
         U = Z @ expm(-1j * H / N) @ R @ U
     return U
+
+
+def _su2_zyz_grad(gamma, beta, alpha):
+    """The Euler factor ``u`` and its derivatives by (gamma, beta, alpha),
+    shape ``(..., 3, 2, 2)``: ``(i/2) Z u``, ``u(beta + pi) / 2`` and
+    ``u (i/2) Z``."""
+    u = _su2_zyz(gamma, beta, alpha)
+    half_iz = np.array([0.5j, -0.5j])
+    du = np.empty(u.shape[:-2] + (3, 2, 2), dtype=complex)
+    du[..., 0, :, :] = half_iz[:, None] * u
+    du[..., 1, :, :] = 0.5 * _su2_zyz(gamma, np.asarray(beta) + np.pi, alpha)
+    du[..., 2, :, :] = u * half_iz
+    return u, du
+
+
+def local_rotation_grad(angles, W):
+    """Gradient of ``Re tr(W R)``, ``R = local_rotation(angles)``, by the six
+    angles: shape ``(..., 6)`` for ``angles`` ``(..., 6)`` and ``W``
+    ``(..., 4, 4)``.
+
+    ``R = u1 (x) u2``, so the derivative by an angle of u1 is
+    ``tr(X1 du1)`` with ``X1`` the partial trace of ``W (1 (x) u2)`` over
+    the second qubit, and likewise for u2.
+    """
+    angles = np.asarray(angles, dtype=float)
+    u1, du1 = _su2_zyz_grad(angles[..., 0], angles[..., 1], angles[..., 2])
+    u2, du2 = _su2_zyz_grad(angles[..., 3], angles[..., 4], angles[..., 5])
+    W = np.reshape(W, np.shape(W)[:-2] + (2, 2, 2, 2))   # W[(i1 i2), (j1 j2)]
+    X1 = np.einsum("...abcd,...db->...ac", W, u2)
+    X2 = np.einsum("...abcd,...ca->...bd", W, u1)
+    g1 = np.einsum("...ac,...sca->...s", X1, du1)
+    g2 = np.einsum("...bd,...sdb->...s", X2, du2)
+    return np.concatenate([g1, g2], axis=-1).real
+
+
+def chain_angle_gradient(angles, factors, delta_eta, G):
+    """Gradient by the 6N angles of ``sum_m Re tr(G[m] W_m)`` over the chains
+    ``W_m = T_m(N-1) ... T_m0``, ``T_mk = F_mk R(x_k (1 + delta_eta_mk))``,
+    of a layout ``(factors, delta_eta)`` ``(K, N, 4, 4)``, ``(K, N, 6)``.
+
+    The partial-trace route: stored prefix and suffix products of each
+    member, and :func:`local_rotation_grad` of ``S_k G P_k F_k`` at the
+    perturbed angles, times ``1 + delta_eta``, summed over members.
+    """
+    N = factors.shape[1]
+    p = np.reshape(angles, (1, N, 6)) * (1.0 + np.asarray(delta_eta))
+    T = factors @ local_rotation(p)
+    eye = np.broadcast_to(np.eye(4), G.shape)
+    prefix, suffix = [eye] * N, [eye] * N
+    for k in range(N - 2, -1, -1):
+        prefix[k] = prefix[k + 1] @ T[:, k + 1]
+    for k in range(1, N):
+        suffix[k] = T[:, k - 1] @ suffix[k - 1]
+    W = np.stack([suffix[k] @ G @ prefix[k] @ factors[:, k] for k in range(N)], axis=1)
+    return (local_rotation_grad(p, W) * (1.0 + delta_eta)).sum(axis=0).ravel()
+
+
+def pe_cotangent_every_row(U):
+    """The cotangent of :func:`entseq.weyl_geometry.pe_functional_value_and_grad`
+    as it was computed before it skipped the rows inside the polyhedron: on
+    every row, then multiplied by ``sign = 0`` where D = 0."""
+    V, m, c = wg._magic_gram(U)
+    g, tr, tr_m2 = wg._gram_invariants(m)
+    D, d, outside = wg._pe_side(g)
+    g1, g2, g3 = g
+    r = np.hypot(g1, g2)
+    alpha = r / 4.0 + g3 * (g1 - 1j * g2) / (16.0 * np.where(outside, r, 1.0)) - 1.0 / 16.0
+    beta = r / 4.0
+    sign = np.where(outside, np.sign(d), 0.0)
+    core = (alpha * tr)[..., None, None] * np.eye(4) - beta[..., None, None] * m
+    G = (4.0 / c) * (wg.MAGIC @ core @ np.swapaxes(V, -1, -2) @ wg._MAGIC_DAG)
+    G -= (alpha * tr * tr - beta * tr_m2)[..., None, None] * np.conj(np.swapaxes(U, -1, -2))
+    return sign[..., None, None] * G
 
 
 def in_pe_polyhedron(c1, c2, c3):

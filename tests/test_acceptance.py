@@ -29,7 +29,7 @@ from entseq.optimizer import (
     TERM_TOL_J,
     cascade_optimize,
 )
-from entseq.sequence_engine import calibrate_amplitude, evaluate_solution, uncorrected_error
+from entseq.sequence_engine import calibrate_amplitude, evaluate_solution, uncorrected_errors
 from entseq.weyl_geometry import (
     canonical_gate,
     cartan_decompose,
@@ -206,7 +206,8 @@ def test_criterion_03_pe_test_consistency():
 
 def test_criterion_04_quasistatic_headline(qs_calibration, qs_cascade):
     sigma = qs_calibration.sigma_nonlocal
-    eps_unc = uncorrected_error(make_ensemble(replace(qs_calibration, seed=ROOT_SEED + 4), 16, 200))
+    eps_unc = float(np.mean(uncorrected_errors(
+        make_ensemble(replace(qs_calibration, seed=ROOT_SEED + 4), 16, 200))))
     eps16 = qs_cascade[16].final_metrics.epsilon
     pe_worst = max(r.final_metrics.epsilon_pe for r in qs_cascade.values())
     ok = (0.08 <= eps_unc <= 0.12) and (eps16 <= 5e-3) and (pe_worst <= 1e-8)
@@ -286,9 +287,9 @@ def test_criterion_07_one_over_f(onef_config, onef_cascade):
     ratios = {}
     pe_worst = 0.0
     for N, res in onef_cascade.items():
-        unc = uncorrected_error(
+        unc = float(np.mean(uncorrected_errors(
             make_ensemble(replace(onef_config, seed=res.seeds["ensemble_seed"]), N, 100)
-        )
+        )))
         ratios[N] = unc / res.final_metrics.epsilon
         pe_worst = max(pe_worst, res.final_metrics.epsilon_pe)
     ok = abs(alpha_hat - 0.7) <= 0.15 and ratios[8] >= 5.0 and pe_worst <= 1e-8

@@ -7,9 +7,9 @@ import pytest
 
 from entseq import cli, noise_model
 from entseq.cli import _grid_axis, _record, load_document, main, noise_from_spec
-from entseq.noise_model import NoiseConfig, make_ensemble
+from entseq.noise_model import NoiseConfig, ONE_OVER_F, QUASISTATIC, make_ensemble
 from entseq.optimizer import OptimizerConfig, ascending_lengths, derived_seed
-from entseq.sequence_engine import evaluate_solution
+from entseq.sequence_engine import evaluate_solution, uncorrected_errors
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -305,6 +305,27 @@ def test_calibrate_command(tmp_path, capsys, monkeypatch):
     payload = json.loads(capsys.readouterr().out)
     assert abs(payload["achieved_uncorrected_error"] - 0.1) <= 0.005
     assert payload["calibrated_sigma_nonlocal"] > 0.1
+
+
+@pytest.mark.parametrize("kind", [QUASISTATIC, ONE_OVER_F])
+def test_calibrate_error_bar_is_the_members_spread(tmp_path, capsys, kind):
+    # mc_rel_std_estimate is std(eps_m, ddof=1) / (sqrt(M) mean(eps_m)) of the
+    # calibrated ensemble, not 1 / sqrt(M); one member has no spread
+    noise = NoiseConfig(kind=kind, seed=13)
+    spec = {"schema_version": 1, "noise": noise.to_dict(), "N": 4, "M": 50}
+    cfg = write_spec(tmp_path, spec, "cal.json")
+    assert run(["calibrate", "--config", cfg, "--target", "0.1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    errors = uncorrected_errors(make_ensemble(
+        replace(noise, sigma_nonlocal=payload["calibrated_sigma_nonlocal"]), 4, 50))
+    assert payload["achieved_uncorrected_error"] == np.mean(errors)
+    rel_std = np.std(errors, ddof=1) / (np.sqrt(50) * np.mean(errors))
+    assert payload["mc_rel_std_estimate"] == rel_std
+    assert 0 < payload["mc_rel_std_estimate"] < 1 / np.sqrt(50)
+    spec["M"] = 1
+    cfg = write_spec(tmp_path, spec, "one.json")
+    assert run(["calibrate", "--config", cfg, "--target", "0.1"]) == 0
+    assert json.loads(capsys.readouterr().out)["mc_rel_std_estimate"] is None
 
 
 def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):

@@ -8,12 +8,11 @@ from entseq.gate_algebra import (
     expm_hermitian,
     is_unitary,
     local_rotation,
-    local_rotation_grad,
     pauli_product,
     trace_fidelity,
 )
 
-from oracles import random_local, random_unitary
+from oracles import local_rotation_grad, random_local, random_unitary
 
 
 def test_pauli_product_identity():

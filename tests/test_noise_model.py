@@ -24,7 +24,7 @@ from entseq.sequence_engine import (
     ensemble_gates,
     ensemble_slices,
     target_gate,
-    uncorrected_error,
+    uncorrected_errors,
 )
 
 from oracles import (
@@ -361,10 +361,12 @@ def test_calibrate_amplitude():
     cfg = replace(QS, sigma_local=0.0, seed=21)
     with pytest.raises(ValueError):
         calibrate_amplitude(0.0, cfg, 4, 50)
-    sigma, eps = calibrate_amplitude(0.10, cfg, 4, 200)
-    # the returned error is the score of the ensemble drawn at sigma, bit for bit
-    assert eps == uncorrected_error(make_ensemble(replace(cfg, sigma_nonlocal=sigma), 4, 200))
-    assert abs(eps - 0.10) <= 0.005
+    sigma, errors = calibrate_amplitude(0.10, cfg, 4, 200)
+    # the returned errors are those of the ensemble drawn at sigma, bit for
+    # bit, and their mean is the score
+    drawn = make_ensemble(replace(cfg, sigma_nonlocal=sigma), 4, 200)
+    assert np.array_equal(errors, uncorrected_errors(drawn))
+    assert abs(np.mean(errors) - 0.10) <= 0.005
     sig_lo, _ = calibrate_amplitude(0.05, cfg, 4, 100)
     sig_hi, _ = calibrate_amplitude(0.20, cfg, 4, 100)
     assert sig_lo < sigma < sig_hi
@@ -379,8 +381,9 @@ def test_calibrate_amplitude_scores_the_returned_sigma(monkeypatch):
 
     monkeypatch.setattr(se, "CALIBRATION_REL_TOL", 0.0)
     cfg = replace(QS, sigma_local=0.0, seed=21)
-    sigma, eps = calibrate_amplitude(0.10, cfg, 4, 20)
-    assert eps == uncorrected_error(make_ensemble(replace(cfg, sigma_nonlocal=sigma), 4, 20))
+    sigma, errors = calibrate_amplitude(0.10, cfg, 4, 20)
+    drawn = make_ensemble(replace(cfg, sigma_nonlocal=sigma), 4, 20)
+    assert np.array_equal(errors, uncorrected_errors(drawn))
 
 
 @pytest.mark.parametrize("cfg", [QS, OF], ids=["quasistatic", "one_over_f"])

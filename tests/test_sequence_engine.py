@@ -18,12 +18,13 @@ from entseq.sequence_engine import (
     ensemble_slices,
     evaluate_solution,
     gate_error,
+    pauli_frames,
     target_gate,
-    uncorrected_error,
+    uncorrected_errors,
     zz_phase_slice,
 )
 
-from oracles import random_unitary, sequence_gate_expm
+from oracles import chain_angle_gradient, random_unitary, sequence_gate_expm
 
 QS = NoiseConfig(seed=5)
 
@@ -139,26 +140,46 @@ def test_kernel_matches_independent_product(kind):
 def test_vjp_matches_central_differences(kind):
     # the pullback against central differences of
     # sum_m Re tr(G_U[m] U_m) + Re tr(G_O O); with G_U = 0 only the target's
-    # term is left, which the gradient of J cannot separate
+    # term is left, which the gradient of J cannot separate.  N = 1 has no
+    # suffix loop, N = 2 one step of it
     cfg = NoiseConfig(kind=kind, sigma_nonlocal=0.2, sigma_local=0.02,
                       channels=ALL_CHANNELS, seed=13)
-    N, M = 3, 5
+    M = 5
     rng = np.random.default_rng(14)
-    x = rng.uniform(-np.pi, np.pi, 6 * N)
-    layout = ensemble_slices(make_ensemble(cfg, N, M))
-    U, O, pullback = ensemble_gates_vjp(x, *layout)
-    U_ref, O_ref = ensemble_gates(x, *layout)
-    assert np.array_equal(U, U_ref) and np.array_equal(O, O_ref)
-    G_O = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    G_U = rng.normal(size=(M, 4, 4)) + 1j * rng.normal(size=(M, 4, 4))
-    for G_U in (G_U, np.zeros_like(G_U)):
-        def f(y):
-            U, O = ensemble_gates(y, *layout)
-            return np.einsum("mij,mji->", G_U, U).real + np.einsum("ij,ji->", G_O, O).real
+    for N in (1, 2, 3):
+        x = rng.uniform(-np.pi, np.pi, 6 * N)
+        layout = ensemble_slices(make_ensemble(cfg, N, M))
+        U, O, pullback = ensemble_gates_vjp(x, *layout, pauli_frames(layout[0]))
+        U_ref, O_ref = ensemble_gates(x, *layout)
+        assert np.array_equal(U, U_ref) and np.array_equal(O, O_ref)
+        G_O = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        G_U = rng.normal(size=(M, 4, 4)) + 1j * rng.normal(size=(M, 4, 4))
+        for G_U in (G_U, np.zeros_like(G_U)):
+            def f(y):
+                U, O = ensemble_gates(y, *layout)
+                return np.einsum("mij,mji->", G_U, U).real + np.einsum("ij,ji->", G_O, O).real
 
-        h = 1e-6
-        fd = np.array([(f(x + h * e) - f(x - h * e)) / (2 * h) for e in np.eye(6 * N)])
-        assert np.abs(pullback(G_U, G_O) - fd).max() <= 1e-7 * np.abs(fd).max()
+            h = 1e-6
+            fd = np.array([(f(x + h * e) - f(x - h * e)) / (2 * h) for e in np.eye(6 * N)])
+            assert np.abs(pullback(G_U, G_O) - fd).max() <= 1e-7 * np.abs(fd).max(), N
+
+
+@pytest.mark.parametrize("kind", [QUASISTATIC, ONE_OVER_F])
+@pytest.mark.parametrize("sigma_local", [0.0, 0.02])
+@pytest.mark.parametrize("N", [1, 2, 5])
+def test_vjp_matches_partial_trace_reference(kind, sigma_local, N):
+    # the Pauli-frame traces against the partial traces of the Euler
+    # factors' derivatives over stored prefix and suffix products
+    cfg = NoiseConfig(kind=kind, sigma_nonlocal=0.2, sigma_local=sigma_local,
+                      channels=ALL_CHANNELS, seed=15)
+    M = 7
+    rng = np.random.default_rng(16)
+    x = rng.uniform(-np.pi, np.pi, 6 * N)
+    factors, delta_eta = ensemble_slices(make_ensemble(cfg, N, M))
+    pullback = ensemble_gates_vjp(x, factors, delta_eta, pauli_frames(factors))[2]
+    G = rng.normal(size=(M + 1, 4, 4)) + 1j * rng.normal(size=(M + 1, 4, 4))
+    ref = chain_angle_gradient(x, factors, delta_eta, G)
+    assert np.abs(pullback(G[:-1], G[-1]) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_ensemble_slices_of_concatenated_records():
@@ -188,7 +209,7 @@ def test_error_quadratic_onset():
     epss = []
     for sigma in (0.01, 0.02):
         cfg = replace(QS, sigma_nonlocal=sigma, seed=77)
-        epss.append(uncorrected_error(make_ensemble(cfg, 4, 400)))
+        epss.append(np.mean(uncorrected_errors(make_ensemble(cfg, 4, 400))))
     ratio = epss[1] / epss[0]
     assert 3.6 <= ratio <= 4.4
 
@@ -218,5 +239,5 @@ def test_evaluate_solution_mean_consistency_and_permutation():
 
 def test_uncorrected_error_level():
     # default two-local channel set at sigma = 0.13: about 8% uncorrected
-    eps = uncorrected_error(make_ensemble(replace(QS, seed=9), 4, 500))
+    eps = np.mean(uncorrected_errors(make_ensemble(replace(QS, seed=9), 4, 500)))
     assert 0.06 <= eps <= 0.10

@@ -26,6 +26,7 @@ from oracles import (
     SWAP,
     canonical_gate_expm,
     invariants_det_form,
+    pe_cotangent_every_row,
     pe_fidelity_three_faces,
     random_local,
     random_unitary,
@@ -293,3 +294,22 @@ def test_pe_functional_grad_matches_central_differences():
               - pe_functional_many(expm_hermitian(H, -h) @ U)) / (2 * h)
         exact = np.einsum("mij,mji->m", G, -1j * H @ U).real
         assert np.allclose(exact, fd, rtol=1e-6, atol=1e-8)
+
+
+def test_pe_cotangent_rows_outside_match_every_row_computation():
+    # the cotangent is computed on the rows outside the polyhedron only; each
+    # of them is bit-equal to the computation over every row, and the rows
+    # inside are zero
+    rng = np.random.default_rng(17)
+    U = np.stack([random_unitary(4, rng) for _ in range(300)])
+    D, G = pe_functional_value_and_grad(U)
+    ref = pe_cotangent_every_row(U)
+    outside = D > 0
+    assert 0 < outside.sum() < len(U)
+    assert np.array_equal(G[outside], ref[outside])
+    assert not G[~outside].any()
+    # a batch of one outside gate, and a batch with leading axes
+    i = np.flatnonzero(outside)[0]
+    assert np.array_equal(pe_functional_value_and_grad(U[i:i + 1])[1][0], ref[i])
+    assert np.array_equal(pe_functional_value_and_grad(U.reshape(3, 100, 4, 4))[1],
+                          G.reshape(3, 100, 4, 4))
