@@ -166,8 +166,9 @@ def ensemble_gates(angles, factors, delta_eta):
 
 def ensemble_gates_vjp(angles, factors, delta_eta, frames):
     """``(U, O)`` as :func:`ensemble_gates`, and ``pullback(G_U, G_O)``, the
-    gradient by the 6N angles of ``sum_m Re tr(G_U[m] U_m) + Re tr(G_O O)``;
-    ``frames`` are :func:`pauli_frames` of ``factors``.
+    gradient by the 6N angles of ``sum_m Re tr(G_U[m] U_m) + Re tr(G_O O)``.
+    ``frames`` must be :func:`pauli_frames` of these same ``factors``: only
+    their shape is checked, and frames of other factors give a wrong gradient.
 
     Member m of the chain (the target O being the last) is ``P_k T_k S_k``,
     ``T_k = F_k R(p_k)``, with the prefix ``P_k = T_(N-1) ... T_(k+1)``
@@ -187,6 +188,8 @@ def ensemble_gates_vjp(angles, factors, delta_eta, frames):
     """
     perturbed, T, prefix, chain = _chain(angles, factors, delta_eta)
     N = T.shape[-3]
+    if frames.shape[:2] != (N, len(T)):
+        raise ValueError(f"frames {frames.shape} do not fit factors {factors.shape}")
 
     def pullback(G_U, G_O):
         G = np.concatenate([G_U, G_O[None]])

@@ -11,9 +11,8 @@ into the tests were produced by these functions.
 
 ``chain_angle_gradient`` is the reference for the reverse pass: the
 partial traces of ``local_rotation_grad`` over stored prefix and suffix
-products, and ``pe_cotangent_every_row`` for the PE cotangent.  The
-Haar-random generators draw test gates, ``telegraph_bank`` is the
-reference for the package's 1/f arithmetic, ``sample_noise_trace`` with
+products.  The Haar-random generators draw test gates, ``telegraph_bank`` is
+the reference for the package's 1/f arithmetic, ``sample_noise_trace`` with
 ``fit_spectral_exponent`` measure the spectrum of its traces,
 ``make_ensemble_member_by_member`` is the frozen per-member noise sampler,
 ``estimate_local_fidelity`` is the Monte-Carlo harness of criterion 6, and
@@ -28,7 +27,6 @@ from scipy.signal import welch
 
 from entseq.gate_algebra import _su2_zyz, local_rotation, trace_fidelity
 from entseq.noise_model import QUASISTATIC, fluctuator_rates, fluctuator_weights
-from entseq import weyl_geometry as wg
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -146,24 +144,6 @@ def chain_angle_gradient(angles, factors, delta_eta, G):
         suffix[k] = T[:, k - 1] @ suffix[k - 1]
     W = np.stack([suffix[k] @ G @ prefix[k] @ factors[:, k] for k in range(N)], axis=1)
     return (local_rotation_grad(p, W) * (1.0 + delta_eta)).sum(axis=0).ravel()
-
-
-def pe_cotangent_every_row(U):
-    """The cotangent of :func:`entseq.weyl_geometry.pe_functional_value_and_grad`
-    as it was computed before it skipped the rows inside the polyhedron: on
-    every row, then multiplied by ``sign = 0`` where D = 0."""
-    V, m, c = wg._magic_gram(U)
-    g, tr, tr_m2 = wg._gram_invariants(m)
-    D, d, outside = wg._pe_side(g)
-    g1, g2, g3 = g
-    r = np.hypot(g1, g2)
-    alpha = r / 4.0 + g3 * (g1 - 1j * g2) / (16.0 * np.where(outside, r, 1.0)) - 1.0 / 16.0
-    beta = r / 4.0
-    sign = np.where(outside, np.sign(d), 0.0)
-    core = (alpha * tr)[..., None, None] * np.eye(4) - beta[..., None, None] * m
-    G = (4.0 / c) * (wg.MAGIC @ core @ np.swapaxes(V, -1, -2) @ wg._MAGIC_DAG)
-    G -= (alpha * tr * tr - beta * tr_m2)[..., None, None] * np.conj(np.swapaxes(U, -1, -2))
-    return sign[..., None, None] * G
 
 
 def in_pe_polyhedron(c1, c2, c3):

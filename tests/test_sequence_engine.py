@@ -182,6 +182,13 @@ def test_vjp_matches_partial_trace_reference(kind, sigma_local, N):
     assert np.abs(pullback(G[:-1], G[-1]) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_vjp_rejects_frames_of_another_layout():
+    factors, delta_eta = ensemble_slices(make_ensemble(QS, 2, 3))
+    other = ensemble_slices(make_ensemble(QS, 2, 4))[0]
+    with pytest.raises(ValueError, match="do not fit"):
+        ensemble_gates_vjp(np.zeros(12), factors, delta_eta, pauli_frames(other))
+
+
 def test_ensemble_slices_of_concatenated_records():
     # the layout reads the coefficients, not the noise kind: two records of
     # either kind, concatenated as the contour concatenates its grid points,
