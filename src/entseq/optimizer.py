@@ -16,9 +16,9 @@ noise-free target O; J and the reported metrics are pure functions of
 (U, O).  This module holds J, its cotangents with respect to U and O, and
 the search.  Minimization uses SciPy's L-BFGS-B with the exact gradient of
 J: the kernel's reverse pass (``sequence_engine.ensemble_gates_vjp``) pulls
-the cotangents back through the same chain to the angles as traces against
-the Pauli frames ``SequenceObjective`` builds once per ensemble, so a
-gradient costs about two evaluations of J, whatever N.
+the cotangents back through the same chain to the angles as fixed Pauli
+traces, weighted by each member's Euler angles, so a gradient costs about
+two evaluations of J, whatever N.
 The termination conditions map one-to-one onto L-BFGS-B's ``ftol``
 (relative J decrease with the max{|J_k|, |J_k+1|, 1} denominator) and
 ``pgtol`` (projected-gradient max-norm), fixed at ``TOL_J`` and ``TOL_GRADJ``.
@@ -54,9 +54,12 @@ from .sequence_engine import (
     ensemble_metrics,
     ensemble_slices,
     gate_error,
-    pauli_frames,
 )
-from .weyl_geometry import pe_functional_many, pe_functional_value_and_grad
+from .weyl_geometry import (
+    pe_fidelity_many,
+    pe_functional_many,
+    pe_functional_value_and_grad,
+)
 
 TERM_TOL_J = "tol_J"
 TERM_TOL_GRADJ = "tol_gradJ"
@@ -164,7 +167,6 @@ class SequenceObjective:
 
     def __init__(self, ensemble):
         self.slices, self.delta_eta = ensemble_slices(ensemble)
-        self.frames = pauli_frames(self.slices)
         self.N = self.slices.shape[1]
 
     def gates(self, x):
@@ -176,7 +178,7 @@ class SequenceObjective:
         return objective_value(U, O, pe_functional_many(U), d_weight)
 
     def epsilon_pe(self, x):
-        return ensemble_metrics(*self.gates(x)).epsilon_pe
+        return float(np.mean(1.0 - pe_fidelity_many(self.gates(x)[0])))
 
     def metrics(self, x):
         """Full EnsembleMetrics at x (per-realization eps and eps_PE)."""
@@ -185,7 +187,7 @@ class SequenceObjective:
     def value_and_grad(self, x, d_weight=1.0):
         """J at x (bit-identical to :meth:`value`) and its exact gradient, the
         kernel's pullback of J's cotangents; D and its cotangent share one pass."""
-        U, O, pullback = ensemble_gates_vjp(x, self.slices, self.delta_eta, self.frames)
+        U, O, pullback = ensemble_gates_vjp(x, self.slices, self.delta_eta)
         D, G_D = pe_functional_value_and_grad(U)
         J = objective_value(U, O, D, d_weight)
         return J, pullback(*objective_cotangents(U, O, G_D, d_weight))

@@ -18,8 +18,8 @@ the target appended as the last, noise-free member (``F = Z_N``,
 ``delta_eta = 0``).  ``ensemble_gates`` runs the chain over all members and
 returns (U, O), ``target_gate`` runs it on one noise-free member, and
 ``ensemble_gates_vjp`` adds the reverse pass, which reads each angle's
-derivative as a trace of ``suffix @ cotangent @ prefix`` against a Pauli
-matrix or a frame ``F_mn s F_mn^dag`` built once by ``pauli_frames``.  The
+derivative from the traces of ``suffix @ cotangent @ prefix`` against the six
+single-qubit Paulis, weighted by the member's own Euler angles.  The
 metrics are pure functions of (U, O) (``ensemble_metrics`` here, J and its
 cotangents in ``optimizer``).
 
@@ -118,33 +118,24 @@ def ensemble_slices(ensemble):
     return factors, delta_eta
 
 
-# Z, Y and X of qubit 1, then of qubit 2: the Paulis whose frames the angle
-# gradient reads; and the diagonals of Z_1, Z_2 as columns
-_FRAME_PAULIS = pauli_stack(((3, 0), (2, 0), (1, 0), (0, 3), (0, 2), (0, 1)))
-_Z_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-
-
-def pauli_frames(factors):
-    """The frames ``K^s = F_mn s F_mn^dag`` of a layout's fixed factors for
-    the six ``_FRAME_PAULIS`` s, ``(N, M + 1, 6, 16)``: each transposed and
-    flattened, so that ``tr(K^s C)`` is its dot product with ``C`` flattened."""
-    F = np.swapaxes(factors, 0, 1)[:, :, None]
-    K = F @ _FRAME_PAULIS @ np.conj(np.swapaxes(F, -1, -2))
-    return np.swapaxes(K, -1, -2).reshape(K.shape[:-2] + (16,))
+# the transposed X, Y, Z of qubit 1, then of qubit 2, as columns: the
+# products of C flattened with them are tr(s_q C)
+_PAULI_COLUMNS = pauli_stack(((1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3))
+                             ).transpose(2, 1, 0).reshape(16, 6)
 
 
 def _chain(angles, factors, delta_eta):
     """The chain over a layout from ``ensemble_slices``: the perturbed angles
     ``p_mn = x_n (1 + delta_eta_mn)`` ``(M + 1, N, 6)``, the segment operators
     ``T_mn = F_mn R(p_mn)`` ``(M + 1, N, 4, 4)``, the prefix products
-    ``prefix[k] = T_(N-1) ... T_(k+1)`` ``(N, M + 1, 4, 4)`` and the chain
-    ``T_(N-1) ... T_0`` ``(M + 1, 4, 4)`` (segment 1 = index 0 acts first)."""
+    ``prefix[k] = T_(N-1) ... T_(k+1)`` for k = 0..N-2 ``(N - 1, M + 1, 4, 4)``
+    and the chain ``T_(N-1) ... T_0`` ``(M + 1, 4, 4)`` (segment 1 = index 0
+    acts first)."""
     params = SequenceParams(factors.shape[1], angles)
     N = params.N
     perturbed = params.angles.reshape(1, N, 6) * (1.0 + delta_eta)
     T = np.einsum("...nac,...ncd->...nad", factors, local_rotation(perturbed))
-    prefix = np.empty((N,) + T.shape[:-3] + (4, 4), dtype=complex)
-    prefix[N - 1] = np.eye(4)
+    prefix = np.empty((N - 1,) + T.shape[:-3] + (4, 4), dtype=complex)
     chain = T[..., N - 1, :, :]
     for k in range(N - 2, -1, -1):
         prefix[k] = chain
@@ -164,49 +155,49 @@ def ensemble_gates(angles, factors, delta_eta):
     return chain[:-1], chain[-1]
 
 
-def ensemble_gates_vjp(angles, factors, delta_eta, frames):
+def ensemble_gates_vjp(angles, factors, delta_eta):
     """``(U, O)`` as :func:`ensemble_gates`, and ``pullback(G_U, G_O)``, the
     gradient by the 6N angles of ``sum_m Re tr(G_U[m] U_m) + Re tr(G_O O)``.
-    ``frames`` must be :func:`pauli_frames` of these same ``factors``: only
-    their shape is checked, and frames of other factors give a wrong gradient.
 
     Member m of the chain (the target O being the last) is ``P_k T_k S_k``,
     ``T_k = F_k R(p_k)``, with the prefix ``P_k = T_(N-1) ... T_(k+1)``
-    (``P_-1 = U``), the suffix ``S_k = T_(k-1) ... T_0`` (``S_N = U``) and
+    (``P_-1 = U``), the suffix ``S_k = T_(k-1) ... T_0`` and
     ``p_k = x_k (1 + delta_eta_mk)``.  With ``G`` its cotangent the pullback
-    forms ``C_j = S_j G P_(j-1)`` for j = 0..N (``C_0 = G U``, ``C_N = U G``),
-    building the suffix as it goes.  For qubit q of segment k, with
-    ``K^s = F_k s F_k^dag`` and gamma_q the perturbed angle,
+    forms ``C_k = S_k G P_(k-1)`` for k = 0..N-1 (``C_0 = G U``), building the
+    suffix as it goes, so that an angle's derivative is
+    ``Re tr(R_k^dag dR_k C_k)``.  For qubit q of segment k, with
+    ``t_s = Re[(i/2) tr(s_q C_k)]`` for s = X, Y, Z and (gamma, beta, alpha)
+    the perturbed angles of R's factor ``exp(i gamma Z/2) exp(i beta Y/2)
+    exp(i alpha Z/2)``,
 
-        d alpha_q = Re[(i/2) tr(Z_q C_k)]
-        d gamma_q = Re[(i/2) tr(K^Z_q C_(k+1))]
-        d beta_q  = Re[(i/2) (cos gamma_q tr(K^Y_q C_(k+1))
-                              + sin gamma_q tr(K^X_q C_(k+1)))]
+        d alpha = t_Z
+        d gamma = sin beta (cos alpha t_X + sin alpha t_Y) + cos beta t_Z
+        d beta  = cos alpha t_Y - sin alpha t_X
 
     and the derivative by ``x_k`` sums these over members, times
     ``1 + delta_eta_mk``.
     """
     perturbed, T, prefix, chain = _chain(angles, factors, delta_eta)
     N = T.shape[-3]
-    if frames.shape[:2] != (N, len(T)):
-        raise ValueError(f"frames {frames.shape} do not fit factors {factors.shape}")
 
     def pullback(G_U, G_O):
         G = np.concatenate([G_U, G_O[None]])
-        C = np.empty((N + 1,) + G.shape, dtype=complex)
+        C = np.empty((N,) + G.shape, dtype=complex)
         C[0] = G @ chain
-        C[1:N] = G @ prefix[:-1]
+        C[1:] = G @ prefix
         S = T[:, 0]
-        for j in range(1, N):
-            C[j] = S @ C[j]
-            S = T[:, j] @ S
-        C[N] = chain @ G
-        # Re[(i/2) tr] = -Im[tr] / 2; each qubit's Z, Y, X slots become its gamma, beta, alpha
-        g = -0.5 * (frames @ C[1:].reshape(N, -1, 16, 1))[..., 0].imag
-        gamma = np.swapaxes(perturbed[..., ::3], 0, 1)
-        g[..., 1::3] = np.cos(gamma) * g[..., 1::3] + np.sin(gamma) * g[..., 2::3]
-        g[..., 2::3] = -0.5 * (np.diagonal(C[:-1], axis1=-2, axis2=-1) @ _Z_SIGNS).imag
-        g = np.swapaxes(g, 0, 1)
+        for k in range(1, N):
+            C[k] = S @ C[k]
+            S = T[:, k] @ S
+        # Re[(i/2) tr] = -Im[tr] / 2, in the slots (X, Y, Z) of each qubit
+        t = np.swapaxes(-0.5 * (C.reshape(N, -1, 16) @ _PAULI_COLUMNS).imag, 0, 1)
+        tX, tY, tZ = t[..., 0::3], t[..., 1::3], t[..., 2::3]
+        beta, alpha = perturbed[..., 1::3], perturbed[..., 2::3]
+        ca, sa = np.cos(alpha), np.sin(alpha)
+        g = np.empty_like(t)
+        g[..., 0::3] = np.sin(beta) * (ca * tX + sa * tY) + np.cos(beta) * tZ
+        g[..., 1::3] = ca * tY - sa * tX
+        g[..., 2::3] = tZ
         # the target's factor 1 + delta_eta is exactly 1
         return ((g[:-1] * (1.0 + delta_eta[:-1])).sum(axis=0) + g[-1]).ravel()
 

@@ -298,16 +298,6 @@ def canonical_gate(c1, c2, c3):
     return MAGIC @ (phases[:, None] * _MAGIC_DAG)
 
 
-class CartanDecompositionError(RuntimeError):
-    """Raised when the KAK reconstruction residual exceeds tolerance."""
-
-    def __init__(self, residual, tol):
-        super().__init__(
-            f"Cartan reconstruction residual {residual:.3e} above tolerance {tol:.1e}"
-        )
-        self.residual = residual
-
-
 def _diagonalize_symmetric_unitary(m, rng, tol=1e-11):
     """Real orthogonal P with ``P.T m P`` diagonal, for complex-symmetric unitary m.
 
@@ -361,8 +351,8 @@ def cartan_decompose(U, tol=1e-8):
     """Cartan (KAK) decomposition ``U ~ k1 A(c) k2`` up to global phase.
 
     Returns ``(k1, c, k2)`` with ``k1, k2 in SU(2) (x) SU(2)`` and ``c`` the
-    canonical Weyl coordinates.  Raises :class:`CartanDecompositionError` if
-    the reconstruction residual exceeds ``tol``.
+    canonical Weyl coordinates.  Raises a RuntimeError if the reconstruction
+    residual exceeds ``tol``.
     """
     U = _unitary(U, "cartan_decompose")
     Us = to_su4(U)
@@ -414,5 +404,7 @@ def cartan_decompose(U, tol=1e-8):
     phase = tr / abs(tr) if abs(tr) > 1e-12 else 1.0
     residual = np.linalg.norm(recon * phase - Us)
     if residual > tol:
-        raise CartanDecompositionError(residual, tol)
+        raise RuntimeError(
+            f"Cartan reconstruction residual {residual:.3e} above tolerance {tol:.1e}"
+        )
     return k1, c, k2

@@ -181,7 +181,7 @@ def test_decompose_cnot_synthetic(tmp_path, capsys):
     assert "F_PE" in out
 
 
-def test_decompose_identity_solution(tmp_path, capsys):
+def write_identity_solution(tmp_path):
     doc = {
         "N": 1,
         "angles": [0.0] * 6,
@@ -191,10 +191,27 @@ def test_decompose_identity_solution(tmp_path, capsys):
     }
     sol = tmp_path / "ident.json"
     sol.write_text(json.dumps(doc))
+    return sol
+
+
+def test_decompose_identity_solution(tmp_path, capsys):
+    sol = write_identity_solution(tmp_path)
     assert run(["decompose", "--solution", str(sol), "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "decomposition.json").read_text())
     assert report["pe_fidelity"] == pytest.approx(np.cos(np.pi / 8) ** 2, abs=1e-9)
     assert report["pe_functional_D"] == pytest.approx(2.0, abs=1e-9)
+
+
+def test_decompose_failure_exits_2(tmp_path, capsys, monkeypatch):
+    def failing(U):
+        raise RuntimeError("Cartan reconstruction residual 1.000e-03 above tolerance 1.0e-08")
+
+    monkeypatch.setattr(cli, "cartan_decompose", failing)
+    sol = write_identity_solution(tmp_path)
+    assert run(["decompose", "--solution", str(sol), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "decomposition failed: Cartan reconstruction residual 1.000e-03" in err
+    assert not (tmp_path / "decomposition.json").exists()
 
 
 def test_contour_csv(solution_dir, tmp_path):

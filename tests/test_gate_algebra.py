@@ -82,6 +82,11 @@ def test_local_rotation_trivials():
     assert np.allclose(beta2_pi, np.kron(np.eye(2), 1j * SIGMA_Y), atol=1e-13)
 
 
+def test_local_rotation_rejects_other_angle_counts():
+    with pytest.raises(ValueError, match="6 Euler angles"):
+        local_rotation(np.zeros((2, 5)))
+
+
 def test_local_rotation_tensor_structure():
     rng = np.random.default_rng(5)
     for _ in range(50):

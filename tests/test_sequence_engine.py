@@ -18,7 +18,6 @@ from entseq.sequence_engine import (
     ensemble_slices,
     evaluate_solution,
     gate_error,
-    pauli_frames,
     target_gate,
     uncorrected_errors,
     zz_phase_slice,
@@ -149,7 +148,7 @@ def test_vjp_matches_central_differences(kind):
     for N in (1, 2, 3):
         x = rng.uniform(-np.pi, np.pi, 6 * N)
         layout = ensemble_slices(make_ensemble(cfg, N, M))
-        U, O, pullback = ensemble_gates_vjp(x, *layout, pauli_frames(layout[0]))
+        U, O, pullback = ensemble_gates_vjp(x, *layout)
         U_ref, O_ref = ensemble_gates(x, *layout)
         assert np.array_equal(U, U_ref) and np.array_equal(O, O_ref)
         G_O = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -168,7 +167,7 @@ def test_vjp_matches_central_differences(kind):
 @pytest.mark.parametrize("sigma_local", [0.0, 0.02])
 @pytest.mark.parametrize("N", [1, 2, 5])
 def test_vjp_matches_partial_trace_reference(kind, sigma_local, N):
-    # the Pauli-frame traces against the partial traces of the Euler
+    # the angle-weighted Pauli traces against the partial traces of the Euler
     # factors' derivatives over stored prefix and suffix products
     cfg = NoiseConfig(kind=kind, sigma_nonlocal=0.2, sigma_local=sigma_local,
                       channels=ALL_CHANNELS, seed=15)
@@ -176,17 +175,10 @@ def test_vjp_matches_partial_trace_reference(kind, sigma_local, N):
     rng = np.random.default_rng(16)
     x = rng.uniform(-np.pi, np.pi, 6 * N)
     factors, delta_eta = ensemble_slices(make_ensemble(cfg, N, M))
-    pullback = ensemble_gates_vjp(x, factors, delta_eta, pauli_frames(factors))[2]
+    pullback = ensemble_gates_vjp(x, factors, delta_eta)[2]
     G = rng.normal(size=(M + 1, 4, 4)) + 1j * rng.normal(size=(M + 1, 4, 4))
     ref = chain_angle_gradient(x, factors, delta_eta, G)
     assert np.abs(pullback(G[:-1], G[-1]) - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-def test_vjp_rejects_frames_of_another_layout():
-    factors, delta_eta = ensemble_slices(make_ensemble(QS, 2, 3))
-    other = ensemble_slices(make_ensemble(QS, 2, 4))[0]
-    with pytest.raises(ValueError, match="do not fit"):
-        ensemble_gates_vjp(np.zeros(12), factors, delta_eta, pauli_frames(other))
 
 
 def test_ensemble_slices_of_concatenated_records():

@@ -3,7 +3,6 @@ import pytest
 
 from entseq.gate_algebra import expm_hermitian, local_rotation
 from entseq.weyl_geometry import (
-    CartanDecompositionError,
     canonical_gate,
     cartan_decompose,
     cubic_roots,
@@ -15,6 +14,7 @@ from entseq.weyl_geometry import (
     pe_functional_D,
     pe_functional_many,
     pe_functional_value_and_grad,
+    su2_pauli_vector,
     w1_indicator_s,
     weyl_coordinates,
     weyl_coordinates_many,
@@ -256,9 +256,16 @@ def test_cartan_decompose_recovers_dressed_coordinates():
 
 
 def test_cartan_decompose_error_reports_residual():
-    err = CartanDecompositionError(0.5, 1e-8)
-    assert err.residual == 0.5
-    assert "0.5" in str(err) or "5.000e-01" in str(err)
+    # a tolerance below the reconstruction residual refuses the decomposition
+    U = random_unitary(4, np.random.default_rng(12))
+    residual = _reconstruction_residual(U)
+    assert residual > 0.0
+    with pytest.raises(RuntimeError, match=f"residual {residual:.3e} above tolerance"):
+        cartan_decompose(U, tol=residual / 2)
+
+
+def test_su2_pauli_vector_of_identity_is_zero():
+    assert np.array_equal(su2_pauli_vector(np.eye(2)), np.zeros(3))
 
 
 def test_non_unitary_inputs_rejected():
