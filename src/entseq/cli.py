@@ -231,7 +231,7 @@ def _stored(sol_doc, *keys):
 
 def cmd_evaluate(args):
     params, sol_doc = load_solution(args.solution)
-    if args.config:
+    if args.config is not None:
         doc = load_document(args.config, "config file")
         M = _count(doc, "M", 100)
     else:
@@ -298,7 +298,7 @@ def cmd_decompose(args):
 
 
 def cmd_calibrate(args):
-    doc = load_document(args.config, "config file") if args.config else {}
+    doc = load_document(args.config, "config file") if args.config is not None else {}
     noise = noise_from_spec(doc, args.seed)
     target = args.target if args.target is not None else doc.get("target_error", 0.1)
     N = _count(doc, "N", 4)

@@ -17,9 +17,10 @@ segment operators ``F_mn R_n``, multiplied out in one loop.
 the target appended as the last, noise-free member (``F = Z_N``,
 ``delta_eta = 0``).  ``ensemble_gates`` runs the chain over all members and
 returns (U, O), ``target_gate`` runs it on one noise-free member, and
-``ensemble_gates_vjp`` adds the reverse pass, which reads each angle's
-derivative from the traces of ``suffix @ cotangent @ prefix`` against the six
-single-qubit Paulis, weighted by the member's own Euler angles.  The
+``ensemble_gates_vjp`` adds the reverse pass: it conjugates ``U @ cotangent``
+by the partial products the forward loop kept, and reads each angle's
+derivative from the traces of the result against the six single-qubit Paulis,
+weighted by the member's own Euler angles.  The
 metrics are pure functions of (U, O) (``ensemble_metrics`` here, J and its
 cotangents in ``optimizer``).
 
@@ -126,21 +127,18 @@ _PAULI_COLUMNS = pauli_stack(((1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3))
 
 def _chain(angles, factors, delta_eta):
     """The chain over a layout from ``ensemble_slices``: the perturbed angles
-    ``p_mn = x_n (1 + delta_eta_mn)`` ``(M + 1, N, 6)``, the segment operators
-    ``T_mn = F_mn R(p_mn)`` ``(M + 1, N, 4, 4)``, the prefix products
-    ``prefix[k] = T_(N-1) ... T_(k+1)`` for k = 0..N-2 ``(N - 1, M + 1, 4, 4)``
-    and the chain ``T_(N-1) ... T_0`` ``(M + 1, 4, 4)`` (segment 1 = index 0
-    acts first)."""
+    ``p_mn = x_n (1 + delta_eta_mn)`` ``(M + 1, N, 6)`` and the partial
+    products the loop forms, ``T_(N-1)``, ``T_(N-1) T_(N-2)``, ...,
+    ``T_(N-1) ... T_0``, each ``(M + 1, 4, 4)`` with ``T_mn = F_mn R(p_mn)``
+    (segment 1 = index 0 acts first); the last is the chain."""
     params = SequenceParams(factors.shape[1], angles)
     N = params.N
     perturbed = params.angles.reshape(1, N, 6) * (1.0 + delta_eta)
     T = np.einsum("...nac,...ncd->...nad", factors, local_rotation(perturbed))
-    prefix = np.empty((N - 1,) + T.shape[:-3] + (4, 4), dtype=complex)
-    chain = T[..., N - 1, :, :]
+    products = [T[..., N - 1, :, :]]
     for k in range(N - 2, -1, -1):
-        prefix[k] = chain
-        chain = chain @ T[..., k, :, :]
-    return perturbed, T, prefix, chain
+        products.append(products[-1] @ T[..., k, :, :])
+    return perturbed, products
 
 
 def ensemble_gates(angles, factors, delta_eta):
@@ -151,7 +149,7 @@ def ensemble_gates(angles, factors, delta_eta):
     The target's ``delta_eta`` is zero, so O uses the *unperturbed* angles;
     local noise enters only U.
     """
-    chain = _chain(angles, factors, delta_eta)[3]
+    chain = _chain(angles, factors, delta_eta)[1][-1]
     return chain[:-1], chain[-1]
 
 
@@ -160,12 +158,13 @@ def ensemble_gates_vjp(angles, factors, delta_eta):
     gradient by the 6N angles of ``sum_m Re tr(G_U[m] U_m) + Re tr(G_O O)``.
 
     Member m of the chain (the target O being the last) is ``P_k T_k S_k``,
-    ``T_k = F_k R(p_k)``, with the prefix ``P_k = T_(N-1) ... T_(k+1)``
-    (``P_-1 = U``), the suffix ``S_k = T_(k-1) ... T_0`` and
-    ``p_k = x_k (1 + delta_eta_mk)``.  With ``G`` its cotangent the pullback
-    forms ``C_k = S_k G P_(k-1)`` for k = 0..N-1 (``C_0 = G U``), building the
-    suffix as it goes, so that an angle's derivative is
-    ``Re tr(R_k^dag dR_k C_k)``.  For qubit q of segment k, with
+    ``T_k = F_k R(p_k)``, with the partial product ``P_k = T_(N-1) ... T_(k+1)``
+    (``P_-1 = U``), the rest ``S_k = T_(k-1) ... T_0`` and
+    ``p_k = x_k (1 + delta_eta_mk)``.  An angle's derivative is
+    ``Re tr(R_k^dag dR_k C_k)`` with ``C_k = S_k G P_(k-1)``, G the member's
+    cotangent; the chain is unitary, so ``S_k = P_(k-1)^dag U`` and
+    ``C_k = P_(k-1)^dag (U G) P_(k-1)``, read from the forward loop's partial
+    products in two batched products.  For qubit q of segment k, with
     ``t_s = Re[(i/2) tr(s_q C_k)]`` for s = X, Y, Z and (gamma, beta, alpha)
     the perturbed angles of R's factor ``exp(i gamma Z/2) exp(i beta Y/2)
     exp(i alpha Z/2)``,
@@ -177,18 +176,14 @@ def ensemble_gates_vjp(angles, factors, delta_eta):
     and the derivative by ``x_k`` sums these over members, times
     ``1 + delta_eta_mk``.
     """
-    perturbed, T, prefix, chain = _chain(angles, factors, delta_eta)
-    N = T.shape[-3]
+    perturbed, products = _chain(angles, factors, delta_eta)
+    chain = products[-1]
+    N = len(products)
 
     def pullback(G_U, G_O):
         G = np.concatenate([G_U, G_O[None]])
-        C = np.empty((N,) + G.shape, dtype=complex)
-        C[0] = G @ chain
-        C[1:] = G @ prefix
-        S = T[:, 0]
-        for k in range(1, N):
-            C[k] = S @ C[k]
-            S = T[:, k] @ S
+        P = np.stack(products[::-1])  # P[k] = P_(k-1), P[0] = U
+        C = np.swapaxes(P.conj(), -1, -2) @ (chain @ G) @ P
         # Re[(i/2) tr] = -Im[tr] / 2, in the slots (X, Y, Z) of each qubit
         t = np.swapaxes(-0.5 * (C.reshape(N, -1, 16) @ _PAULI_COLUMNS).imag, 0, 1)
         tX, tY, tZ = t[..., 0::3], t[..., 1::3], t[..., 2::3]
@@ -198,8 +193,7 @@ def ensemble_gates_vjp(angles, factors, delta_eta):
         g[..., 0::3] = np.sin(beta) * (ca * tX + sa * tY) + np.cos(beta) * tZ
         g[..., 1::3] = ca * tY - sa * tX
         g[..., 2::3] = tZ
-        # the target's factor 1 + delta_eta is exactly 1
-        return ((g[:-1] * (1.0 + delta_eta[:-1])).sum(axis=0) + g[-1]).ravel()
+        return (g * (1.0 + delta_eta)).sum(axis=0).ravel()
 
     return chain[:-1], chain[-1], pullback
 

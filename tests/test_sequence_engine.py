@@ -139,8 +139,8 @@ def test_kernel_matches_independent_product(kind):
 def test_vjp_matches_central_differences(kind):
     # the pullback against central differences of
     # sum_m Re tr(G_U[m] U_m) + Re tr(G_O O); with G_U = 0 only the target's
-    # term is left, which the gradient of J cannot separate.  N = 1 has no
-    # suffix loop, N = 2 one step of it
+    # term is left, which the gradient of J cannot separate.  N = 1 is the
+    # one-product chain P = [U], N = 2 the shortest with more than one
     cfg = NoiseConfig(kind=kind, sigma_nonlocal=0.2, sigma_local=0.02,
                       channels=ALL_CHANNELS, seed=13)
     M = 5
@@ -165,7 +165,7 @@ def test_vjp_matches_central_differences(kind):
 
 @pytest.mark.parametrize("kind", [QUASISTATIC, ONE_OVER_F])
 @pytest.mark.parametrize("sigma_local", [0.0, 0.02])
-@pytest.mark.parametrize("N", [1, 2, 5])
+@pytest.mark.parametrize("N", [1, 2, 5, 16])
 def test_vjp_matches_partial_trace_reference(kind, sigma_local, N):
     # the angle-weighted Pauli traces against the partial traces of the Euler
     # factors' derivatives over stored prefix and suffix products
