@@ -2,10 +2,12 @@
 interleaved between weakly entangling two-qubit slices."""
 
 from .gate_algebra import (
+    embed,
     expm_hermitian,
     local_rotation,
     pauli_product,
     trace_fidelity,
+    unembed,
 )
 from .weyl_geometry import (
     canonical_gate,

@@ -81,7 +81,11 @@ def _object(doc, what):
 
 def load_document(path, what):
     """The JSON object in the file at ``path``, refused when it names another
-    schema version; ``what`` names the file in errors."""
+    schema version; ``what`` ("config file" or "solution file") names the file
+    in errors, and its first word the option that gave the path."""
+    if path == "":
+        # Path("") is the working directory, not a file
+        raise ConfigError(f"--{what.split()[0]} must name a file, got an empty string")
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:   # ValueError: not JSON, or not text

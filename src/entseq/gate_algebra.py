@@ -4,7 +4,9 @@ Conventions used throughout the package:
 
 * two-qubit operators are numpy ``complex128`` arrays of shape ``(4, 4)``
   in the computational basis ``|00>, |01>, |10>, |11>``; batched helpers
-  accept arbitrary leading axes ``(..., 4, 4)``,
+  accept arbitrary leading axes ``(..., 4, 4)``.  The sequence kernel carries
+  them in the real form of :func:`embed`, ``float64`` ``(..., 8, 8)``, the
+  form :func:`local_rotation` returns,
 * a Pauli channel is an index pair ``(i, j)`` with ``i, j in 0..3``
   (0 = identity, 1..3 = X, Y, Z) labelling ``sigma_i (x) sigma_j``,
 * a local rotation is parametrized by six Euler angles
@@ -59,34 +61,77 @@ def expm_hermitian(H, scale=1.0):
     return np.einsum("...ik,...k,...jk->...ij", v, phase, v.conj())
 
 
-def _su2_zyz(gamma, beta, alpha):
-    """Single-qubit ``exp(+i g/2 Z) exp(+i b/2 Y) exp(+i a/2 Z)``, batched."""
-    g = np.exp(0.5j * np.asarray(gamma))
-    a = np.exp(0.5j * np.asarray(alpha))
-    cb = np.cos(0.5 * np.asarray(beta))
-    sb = np.sin(0.5 * np.asarray(beta))
-    u = np.empty(np.broadcast(g, a, cb).shape + (2, 2), dtype=complex)
-    u[..., 0, 0] = g * cb * a
-    u[..., 0, 1] = g * sb / a
-    u[..., 1, 0] = -sb * a / g
-    u[..., 1, 1] = cb / (g * a)
-    return u
+def embed(A):
+    """The real form of complex matrices ``(..., n, n)``: the ``(..., 2n, 2n)``
+    blocks ``[[Re A, -Im A], [Im A, Re A]]``.  It is a ring homomorphism,
+    ``embed(A @ B) = embed(A) @ embed(B)``, and ``embed(A^dag) = embed(A)^T``."""
+    A = np.asarray(A, dtype=complex)
+    n = A.shape[-1]
+    out = np.empty(A.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = out[..., n:, n:] = A.real
+    out[..., n:, :n] = A.imag
+    np.negative(A.imag, out=out[..., :n, n:])
+    return out
+
+
+def unembed(E):
+    """The complex matrices ``(..., n, n)`` whose real form :func:`embed` is ``E``."""
+    n = E.shape[-1] // 2
+    A = np.empty(E.shape[:-2] + (n, n), dtype=complex)
+    A.real, A.imag = E[..., :n, :n], E[..., n:, :n]
+    return A
+
+
+# (gamma + alpha)/2, (gamma - alpha)/2 and beta/2 of qubit 1, then of qubit 2,
+# one row each, from the six angles (gamma1, beta1, alpha1, gamma2, beta2, alpha2)
+_HALF_ANGLES = 0.5 * np.array([[1, 0, 1, 0, 0, 0],
+                               [1, 0, -1, 0, 0, 0],
+                               [0, 1, 0, 0, 0, 0],
+                               [0, 0, 0, 1, 0, 1],
+                               [0, 0, 0, 1, 0, -1],
+                               [0, 0, 0, 0, 1, 0]], dtype=float).T
+# their cosines then sines, indexed in pairs whose products are the quaternion
+# (Re a, Im a, Re b, Im b) of each qubit's factor [[a, b], [-conj(b), conj(a)]]
+_QUAT_LEFT = np.array([2, 2, 8, 8, 5, 5, 11, 11])
+_QUAT_RIGHT = np.array([0, 6, 1, 7, 3, 9, 4, 10])
+
+
+def _su2(q):
+    """``[[a, b], [-conj(b), conj(a)]]`` of the quaternion ``(Re a, Im a, Re b, Im b)``."""
+    a, b = complex(q[0], q[1]), complex(q[2], q[3])
+    return np.array([[a, b], [-b.conjugate(), a.conjugate()]])
+
+
+# the real form of u1 (x) u2 is bilinear in the two quaternions: row 4i + j is
+# its flattened value at the unit quaternions e_i, e_j.  Each column holds two
+# entries of +-1 and zeros, so every product with it rounds once, whatever the
+# batch it is computed in
+_ROTATION_BLOCKS = np.stack([embed(np.kron(_su2(e), _su2(f))).ravel()
+                             for e in np.eye(4) for f in np.eye(4)])
 
 
 def local_rotation(angles):
-    """Tensor product of two ZYZ Euler rotations, one per qubit.
+    """Tensor product of two ZYZ Euler rotations, one per qubit, in the real
+    form of :func:`embed`.
 
     ``angles`` has shape ``(..., 6)`` ordered
-    ``(gamma1, beta1, alpha1, gamma2, beta2, alpha2)``; returns ``(..., 4, 4)``.
-    The result is in SU(2) (x) SU(2).
+    ``(gamma1, beta1, alpha1, gamma2, beta2, alpha2)``; returns ``(..., 8, 8)``,
+    and ``unembed`` of it is the ``(..., 4, 4)`` rotation in SU(2) (x) SU(2).
+    Each factor ``exp(+i gamma/2 Z) exp(+i beta/2 Y) exp(+i alpha/2 Z)`` is
+    ``[[a, b], [-conj(b), conj(a)]]`` with
+    ``a = cos(beta/2) exp(i (gamma + alpha)/2)`` and
+    ``b = sin(beta/2) exp(i (gamma - alpha)/2)``, so the real form is built
+    from the real cosines and sines of those three half angles.
     """
     angles = np.asarray(angles, dtype=float)
     if angles.shape[-1] != 6:
         raise ValueError(f"expected 6 Euler angles per rotation, got shape {angles.shape}")
-    u1 = _su2_zyz(angles[..., 0], angles[..., 1], angles[..., 2])
-    u2 = _su2_zyz(angles[..., 3], angles[..., 4], angles[..., 5])
-    out = np.einsum("...ij,...kl->...ikjl", u1, u2)
-    return out.reshape(out.shape[:-4] + (4, 4))
+    half = angles @ _HALF_ANGLES
+    trig = np.concatenate([np.cos(half), np.sin(half)], axis=-1)
+    q = trig[..., _QUAT_LEFT] * trig[..., _QUAT_RIGHT]
+    outer = q[..., :4, None] * q[..., None, 4:]
+    blocks = outer.reshape(angles.shape[:-1] + (16,)) @ _ROTATION_BLOCKS
+    return blocks.reshape(angles.shape[:-1] + (8, 8))
 
 
 def trace_fidelity(U, O):

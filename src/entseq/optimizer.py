@@ -18,7 +18,8 @@ the search.  Minimization uses SciPy's L-BFGS-B with the exact gradient of
 J: the kernel's reverse pass (``sequence_engine.ensemble_gates_vjp``) pulls
 the cotangents back to the angles through the forward loop's own partial
 products, as fixed Pauli traces weighted by each member's Euler angles, so a
-gradient costs about two evaluations of J, whatever N.
+gradient costs about two evaluations of J, whatever N (1.6 to 2.3 at N = 2
+to 16 and M = 1 to 100).
 The termination conditions map one-to-one onto L-BFGS-B's ``ftol``
 (relative J decrease with the max{|J_k|, |J_k+1|, 1} denominator) and
 ``pgtol`` (projected-gradient max-norm), fixed at ``TOL_J`` and ``TOL_GRADJ``.

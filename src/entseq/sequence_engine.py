@@ -11,16 +11,21 @@ the noise of segment n, and ``R_n`` is the segment's local rotation.  The
 noise-free target O is the same chain with ``D_n = 1`` and no angle noise.
 
 Everything the package reports about a sequence comes from one chain of
-segment operators ``F_mn R_n``, multiplied out in one loop.
-``ensemble_slices`` lays out a frozen ensemble once: the fixed factors
-``F_mn = Z_N D_mn`` and the local-angle perturbations of every member, with
-the target appended as the last, noise-free member (``F = Z_N``,
-``delta_eta = 0``).  ``ensemble_gates`` runs the chain over all members and
-returns (U, O), ``target_gate`` runs it on one noise-free member, and
-``ensemble_gates_vjp`` adds the reverse pass: it conjugates ``U @ cotangent``
-by the partial products the forward loop kept, and reads each angle's
-derivative from the traces of the result against the six single-qubit Paulis,
-weighted by the member's own Euler angles.  The
+segment operators ``F_mn R_n``, multiplied out in one loop.  The chain runs in
+real arithmetic: each 4x4 complex operator A is carried as its 8x8 real form
+``embed(A) = [[Re A, -Im A], [Im A, Re A]]`` (``gate_algebra``), whose products
+are the real forms of the complex products and whose transpose is the real
+form of ``A^dag``.  ``ensemble_slices`` lays out a frozen ensemble once, in
+that form: the fixed factors ``F_mn = Z_N D_mn`` and the local-angle
+perturbations of every member, with the target appended as the last,
+noise-free member (``F = Z_N``, ``delta_eta = 0``).  When no member perturbs
+the angles the perturbations are one zero row, and one set of N rotations
+serves every member.  ``ensemble_gates`` runs the chain over all members and
+returns the complex (U, O), ``target_gate`` runs it on one noise-free member,
+and ``ensemble_gates_vjp`` adds the reverse pass: it conjugates
+``U @ cotangent`` by the partial products the forward loop kept, and reads
+each angle's derivative from the traces of the result against the six
+single-qubit Paulis, weighted by the member's own Euler angles.  The
 metrics are pure functions of (U, O) (``ensemble_metrics`` here, J and its
 cotangents in ``optimizer``).
 
@@ -38,10 +43,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gate_algebra import (
+    embed,
     expm_hermitian,
     local_rotation,
     pauli_stack,
     trace_fidelity,
+    unembed,
 )
 from .weyl_geometry import pe_fidelity_many
 from . import noise_model
@@ -96,10 +103,12 @@ def zz_phase_slice(N):
 
 def ensemble_slices(ensemble):
     """Lay out an ``Ensemble`` for the kernel: the fixed factors
-    ``F_mn = Z_N D_mn`` ``(M + 1, N, 4, 4)`` and the angle perturbations
-    ``(M + 1, N, 6)``.  Members 0..M-1 are the record's, with
-    ``D_mn = exp(-i Delta_mn / N)``; member M is the noise-free target,
-    ``F = Z_N`` and ``delta_eta = 0``.
+    ``F_mn = Z_N D_mn`` ``(M + 1, N, 8, 8)``, in the real form of
+    ``gate_algebra.embed``, and the angle perturbations ``(M + 1, N, 6)``.
+    Members 0..M-1 are the record's, with ``D_mn = exp(-i Delta_mn / N)``;
+    member M is the noise-free target, ``F = Z_N`` and ``delta_eta = 0``.
+    When no member perturbs the angles the perturbations are one zero row
+    ``(1, N, 6)``, which the kernel broadcasts over the members.
 
     All noise generators are diagonalized in one batched call: one per member
     when every member's coefficients repeat across the segments, as
@@ -114,42 +123,57 @@ def ensemble_slices(ensemble):
     else:
         D = expm_hermitian(np.einsum("mnc,cab->mnab", delta, sig), 1.0 / N)
     Z = zz_phase_slice(N)
-    factors = np.concatenate([Z @ D, np.broadcast_to(Z, (1, N, 4, 4))])
-    delta_eta = np.concatenate([ensemble.delta_eta, np.zeros((1, N, 6))])
+    # Z is diagonal, so Z D scales the rows of D
+    factors = embed(np.concatenate([np.diagonal(Z)[:, None] * D,
+                                    np.broadcast_to(Z, (1, N, 4, 4))]))
+    delta_eta = np.zeros((1, N, 6))
+    if ensemble.delta_eta.any():
+        delta_eta = np.concatenate([ensemble.delta_eta, delta_eta])
     return factors, delta_eta
 
 
-# the transposed X, Y, Z of qubit 1, then of qubit 2, as columns: the
-# products of C flattened with them are tr(s_q C)
-_PAULI_COLUMNS = pauli_stack(((1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3))
-                             ).transpose(2, 1, 0).reshape(16, 6)
+def _pauli_traces():
+    """The constant ``(64, 6)`` matrix that takes a flattened real form
+    ``embed(C)`` to ``Re[(i/2) tr(s C)] = -Im[tr(s C)] / 2`` for s = X, Y, Z
+    of qubit 1, then of qubit 2.  ``tr(s C) = sum_ij s_ji C_ij``, and the
+    real form holds ``Re C`` in its top-left block and ``Im C`` below it."""
+    s = pauli_stack(((1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3))).transpose(0, 2, 1)
+    W = np.zeros((6, 8, 8))
+    W[:, :4, :4] = -0.5 * s.imag
+    W[:, 4:, :4] = -0.5 * s.real
+    return W.reshape(6, 64).T
+
+
+_PAULI_TRACES = _pauli_traces()
 
 
 def _chain(angles, factors, delta_eta):
     """The chain over a layout from ``ensemble_slices``: the perturbed angles
-    ``p_mn = x_n (1 + delta_eta_mn)`` ``(M + 1, N, 6)`` and the partial
-    products the loop forms, ``T_(N-1)``, ``T_(N-1) T_(N-2)``, ...,
-    ``T_(N-1) ... T_0``, each ``(M + 1, 4, 4)`` with ``T_mn = F_mn R(p_mn)``
-    (segment 1 = index 0 acts first); the last is the chain."""
+    ``p_mn = x_n (1 + delta_eta_mn)`` ``(M + 1, N, 6)`` (one row when
+    ``delta_eta`` has one) and the partial products ``P`` ``(N, M + 1, 8, 8)``
+    in real form, ``P[k] = T_(N-1) ... T_k`` with ``T_mn = F_mn R(p_mn)``
+    (segment 1 = index 0 acts first); ``P[0]`` is the chain.  The loop
+    multiplies each product into its own slot of ``P``."""
     params = SequenceParams(factors.shape[1], angles)
     N = params.N
     perturbed = params.angles.reshape(1, N, 6) * (1.0 + delta_eta)
-    T = np.einsum("...nac,...ncd->...nad", factors, local_rotation(perturbed))
-    products = [T[..., N - 1, :, :]]
+    T = factors @ local_rotation(perturbed)
+    P = np.empty((N, len(T), 8, 8))
+    P[N - 1] = T[:, N - 1]
     for k in range(N - 2, -1, -1):
-        products.append(products[-1] @ T[..., k, :, :])
-    return perturbed, products
+        np.matmul(P[k + 1], T[:, k], out=P[k])
+    return perturbed, P
 
 
 def ensemble_gates(angles, factors, delta_eta):
     """The evaluation kernel: one chain over the ensemble laid out by
     ``ensemble_slices``, returning the noisy gates ``U`` ``(M, 4, 4)`` and the
-    noise-free target ``O`` ``(4, 4)``, its last member.
+    noise-free target ``O`` ``(4, 4)``, its last member, as complex matrices.
 
     The target's ``delta_eta`` is zero, so O uses the *unperturbed* angles;
     local noise enters only U.
     """
-    chain = _chain(angles, factors, delta_eta)[1][-1]
+    chain = unembed(_chain(angles, factors, delta_eta)[1][0])
     return chain[:-1], chain[-1]
 
 
@@ -164,10 +188,11 @@ def ensemble_gates_vjp(angles, factors, delta_eta):
     ``Re tr(R_k^dag dR_k C_k)`` with ``C_k = S_k G P_(k-1)``, G the member's
     cotangent; the chain is unitary, so ``S_k = P_(k-1)^dag U`` and
     ``C_k = P_(k-1)^dag (U G) P_(k-1)``, read from the forward loop's partial
-    products in two batched products.  For qubit q of segment k, with
-    ``t_s = Re[(i/2) tr(s_q C_k)]`` for s = X, Y, Z and (gamma, beta, alpha)
-    the perturbed angles of R's factor ``exp(i gamma Z/2) exp(i beta Y/2)
-    exp(i alpha Z/2)``,
+    products in two batched real products (the real form of ``A^dag`` is
+    the transpose of A's).  For qubit q of segment k, with
+    ``t_s = Re[(i/2) tr(s_q C_k)]`` for s = X, Y, Z, one product with a
+    constant (64, 6) matrix, and (gamma, beta, alpha) the perturbed angles of
+    R's factor ``exp(i gamma Z/2) exp(i beta Y/2) exp(i alpha Z/2)``,
 
         d alpha = t_Z
         d gamma = sin beta (cos alpha t_X + sin alpha t_Y) + cos beta t_Z
@@ -176,16 +201,16 @@ def ensemble_gates_vjp(angles, factors, delta_eta):
     and the derivative by ``x_k`` sums these over members, times
     ``1 + delta_eta_mk``.
     """
-    perturbed, products = _chain(angles, factors, delta_eta)
-    chain = products[-1]
-    N = len(products)
+    perturbed, P = _chain(angles, factors, delta_eta)  # P[k] = P_(k-1), P[0] = U
+    N, rows = len(P), len(perturbed)
+    U = unembed(P[0])
 
     def pullback(G_U, G_O):
-        G = np.concatenate([G_U, G_O[None]])
-        P = np.stack(products[::-1])  # P[k] = P_(k-1), P[0] = U
-        C = np.swapaxes(P.conj(), -1, -2) @ (chain @ G) @ P
-        # Re[(i/2) tr] = -Im[tr] / 2, in the slots (X, Y, Z) of each qubit
-        t = np.swapaxes(-0.5 * (C.reshape(N, -1, 16) @ _PAULI_COLUMNS).imag, 0, 1)
+        G = embed(np.concatenate([G_U, G_O[None]]))
+        C = np.swapaxes(P, -1, -2) @ (P[0] @ G) @ P
+        # members that share a row of perturbed angles (all of them when
+        # delta_eta has one row) add their traces before the angle weights
+        t = np.swapaxes(C.reshape(N, rows, -1, 64).sum(axis=2) @ _PAULI_TRACES, 0, 1)
         tX, tY, tZ = t[..., 0::3], t[..., 1::3], t[..., 2::3]
         beta, alpha = perturbed[..., 1::3], perturbed[..., 2::3]
         ca, sa = np.cos(alpha), np.sin(alpha)
@@ -195,13 +220,13 @@ def ensemble_gates_vjp(angles, factors, delta_eta):
         g[..., 2::3] = tZ
         return (g * (1.0 + delta_eta)).sum(axis=0).ravel()
 
-    return chain[:-1], chain[-1], pullback
+    return U[:-1], U[-1], pullback
 
 
 def target_gate(params):
     """Noise-free target: the kernel on a one-member layout, ``F = Z_N`` and
     no angle noise."""
-    Z = np.broadcast_to(zz_phase_slice(params.N), (1, params.N, 4, 4))
+    Z = np.broadcast_to(embed(zz_phase_slice(params.N)), (1, params.N, 8, 8))
     return ensemble_gates(params.angles, Z, np.zeros((1, params.N, 6)))[1]
 
 

@@ -18,7 +18,7 @@ perfect-entangler measures) depends only on ``g2**2``.
 
 import numpy as np
 
-from .gate_algebra import is_unitary
+from .gate_algebra import embed, is_unitary, unembed
 
 MAGIC = np.array(
     [
@@ -47,16 +47,25 @@ def to_su4(U):
     return U / det[..., None, None] ** 0.25 if U.ndim > 2 else U / det ** 0.25
 
 
+# the basis change and the transpose in the real form of gate_algebra.embed:
+# embed(V^T) is embed(V)^T with its off-diagonal blocks negated
+_MAGIC_DAG_REAL = embed(_MAGIC_DAG)
+_MAGIC_REAL = embed(MAGIC)
+_TRANSPOSE_SIGNS = np.kron([[1.0, -1.0], [-1.0, 1.0]], np.ones((4, 4)))
+
+
 def _magic_gram(U):
     """The SU(4)-normalized gate in the magic basis and its Gram matrix.
 
     Returns ``(V, m, c)``: ``c = det(U)^(1/4)`` (principal root, shape
-    ``(..., 1, 1)``), ``V = MAGIC^dag (U / c) MAGIC`` and ``m = V^T V``.
+    ``(..., 1, 1)``), ``V = MAGIC^dag (U / c) MAGIC`` and ``m = V^T V``, both
+    multiplied out in real form.
     """
     U = np.asarray(U, dtype=complex)
-    c = np.asarray(np.linalg.det(U))[..., None, None] ** 0.25
-    V = _MAGIC_DAG @ (U / c) @ MAGIC
-    return V, np.swapaxes(V, -1, -2) @ V, c
+    c = np.sqrt(np.sqrt(np.linalg.det(U)))[..., None, None]
+    V = _MAGIC_DAG_REAL @ embed(U / c) @ _MAGIC_REAL
+    m = (np.swapaxes(V, -1, -2) * _TRANSPOSE_SIGNS) @ V
+    return unembed(V), unembed(m), c
 
 
 def _gram_invariants(m):

@@ -11,8 +11,10 @@ into the tests were produced by these functions.
 
 ``chain_angle_gradient`` is the reference for the reverse pass: the
 partial traces of ``local_rotation_grad`` over stored prefix and suffix
-products.  The Haar-random generators draw test gates, ``telegraph_bank`` is
-the reference for the package's 1/f arithmetic, ``sample_noise_trace`` with
+products, in complex arithmetic on the rotations of ``kron_rotation`` (the
+closed-form ZYZ factors, independent of the package's real-form kernel).
+The Haar-random generators draw test gates, ``telegraph_bank`` is the
+reference for the package's 1/f arithmetic, ``sample_noise_trace`` with
 ``fit_spectral_exponent`` measure the spectrum of its traces,
 ``make_ensemble_member_by_member`` is the frozen per-member noise sampler,
 ``estimate_local_fidelity`` is the Monte-Carlo harness of criterion 6, and
@@ -25,7 +27,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.signal import welch
 
-from entseq.gate_algebra import _su2_zyz, local_rotation, trace_fidelity
+from entseq.gate_algebra import trace_fidelity
 from entseq.noise_model import QUASISTATIC, fluctuator_rates, fluctuator_weights
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -91,6 +93,31 @@ def sequence_gate_expm(angles, delta, channels, delta_eta):
     return U
 
 
+def _su2_zyz(gamma, beta, alpha):
+    """Single-qubit ``exp(+i g/2 Z) exp(+i b/2 Y) exp(+i a/2 Z)``, batched, in
+    complex closed form."""
+    g = np.exp(0.5j * np.asarray(gamma))
+    a = np.exp(0.5j * np.asarray(alpha))
+    cb = np.cos(0.5 * np.asarray(beta))
+    sb = np.sin(0.5 * np.asarray(beta))
+    u = np.empty(np.broadcast(g, a, cb).shape + (2, 2), dtype=complex)
+    u[..., 0, 0] = g * cb * a
+    u[..., 0, 1] = g * sb / a
+    u[..., 1, 0] = -sb * a / g
+    u[..., 1, 1] = cb / (g * a)
+    return u
+
+
+def kron_rotation(angles):
+    """The complex local rotation ``u1 (x) u2`` ``(..., 4, 4)`` of the six
+    Euler angles ``(..., 6)``, one closed-form ZYZ factor per qubit."""
+    angles = np.asarray(angles, dtype=float)
+    u1 = _su2_zyz(angles[..., 0], angles[..., 1], angles[..., 2])
+    u2 = _su2_zyz(angles[..., 3], angles[..., 4], angles[..., 5])
+    out = np.einsum("...ij,...kl->...ikjl", u1, u2)
+    return out.reshape(out.shape[:-4] + (4, 4))
+
+
 def _su2_zyz_grad(gamma, beta, alpha):
     """The Euler factor ``u`` and its derivatives by (gamma, beta, alpha),
     shape ``(..., 3, 2, 2)``: ``(i/2) Z u``, ``u(beta + pi) / 2`` and
@@ -105,7 +132,7 @@ def _su2_zyz_grad(gamma, beta, alpha):
 
 
 def local_rotation_grad(angles, W):
-    """Gradient of ``Re tr(W R)``, ``R = local_rotation(angles)``, by the six
+    """Gradient of ``Re tr(W R)``, ``R = kron_rotation(angles)``, by the six
     angles: shape ``(..., 6)`` for ``angles`` ``(..., 6)`` and ``W``
     ``(..., 4, 4)``.
 
@@ -135,7 +162,7 @@ def chain_angle_gradient(angles, factors, delta_eta, G):
     """
     N = factors.shape[1]
     p = np.reshape(angles, (1, N, 6)) * (1.0 + np.asarray(delta_eta))
-    T = factors @ local_rotation(p)
+    T = factors @ kron_rotation(p)
     eye = np.broadcast_to(np.eye(4), G.shape)
     prefix, suffix = [eye] * N, [eye] * N
     for k in range(N - 2, -1, -1):
@@ -294,9 +321,9 @@ def estimate_local_fidelity(sigma_local, n_coeff_sets, n_angle_sets, rng,
     total = 0.0
     for _ in range(n_angle_sets):
         ang = rng.uniform(-angle_range, angle_range, 6)
-        R = local_rotation(ang)
+        R = kron_rotation(ang)
         deltas = rng.normal(0.0, sigma_local, (n_coeff_sets, 6))
-        Rp = local_rotation(ang[None, :] * (1.0 + deltas))
+        Rp = kron_rotation(ang[None, :] * (1.0 + deltas))
         total += trace_fidelity(Rp, R).mean()
     return total / n_angle_sets
 

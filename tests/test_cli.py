@@ -413,12 +413,14 @@ def test_config_errors_exit_1(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error:")
     assert run(["evaluate", "--config", grid, "--solution", str(sol), "--stored-seeds"]) == 1
     assert capsys.readouterr().err.startswith("error:")
-    # an empty path is no file, not "no --config"
-    for cmd in ("evaluate", "calibrate"):
-        args = ["--solution", str(sol)] if cmd == "evaluate" else []
+    # an empty path is no file, not "no --config" and not the working directory
+    for cmd in ("optimize", "contour", "evaluate", "calibrate"):
+        args = ["--solution", str(sol)] if cmd in ("contour", "evaluate") else []
         assert run([cmd, "--config", "", *args, "--out", str(tmp_path / cmd)]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err == "error: --config must name a file, got an empty string\n"
         assert not (tmp_path / cmd).exists()
+    assert run(["evaluate", "--solution", ""]) == 1
+    assert capsys.readouterr().err == "error: --solution must name a file, got an empty string\n"
     for cmd, key in (("evaluate", "M"), ("calibrate", "N"), ("calibrate", "M")):
         cfg = write_spec(tmp_path, {**grid_spec, key: 0}, f"bad_{cmd}_{key}.json")
         args = ["--solution", str(sol)] if cmd == "evaluate" else []

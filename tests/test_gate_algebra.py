@@ -5,11 +5,13 @@ from entseq.gate_algebra import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    embed,
     expm_hermitian,
     is_unitary,
     local_rotation,
     pauli_product,
     trace_fidelity,
+    unembed,
 )
 
 from oracles import local_rotation_grad, random_local, random_unitary
@@ -74,11 +76,23 @@ def test_expm_group_property():
         assert np.allclose(left, expm_hermitian(H, a + b), atol=1e-10)
 
 
+def test_embed_is_a_ring_homomorphism():
+    # the kernel's real form: products and adjoints carry over, and the
+    # complex matrices come back exactly
+    rng = np.random.default_rng(13)
+    A, B = rng.normal(size=(2, 7, 3, 4, 4)) + 1j * rng.normal(size=(2, 7, 3, 4, 4))
+    assert embed(A).shape == (7, 3, 8, 8) and embed(A).dtype == float
+    assert np.abs(embed(A @ B) - embed(A) @ embed(B)).max() <= 1e-14 * np.abs(A @ B).max()
+    assert np.array_equal(embed(np.swapaxes(A.conj(), -1, -2)), np.swapaxes(embed(A), -1, -2))
+    assert np.array_equal(unembed(embed(A)), A)
+    assert np.array_equal(unembed(embed(A[0, 0])), A[0, 0])
+
+
 def test_local_rotation_trivials():
-    assert np.allclose(local_rotation(np.zeros(6)), np.eye(4))
-    gamma1_pi = local_rotation([np.pi, 0, 0, 0, 0, 0])
+    assert np.allclose(unembed(local_rotation(np.zeros(6))), np.eye(4))
+    gamma1_pi = unembed(local_rotation([np.pi, 0, 0, 0, 0, 0]))
     assert np.allclose(gamma1_pi, np.kron(1j * SIGMA_Z, np.eye(2)), atol=1e-13)
-    beta2_pi = local_rotation([0, 0, 0, 0, np.pi, 0])
+    beta2_pi = unembed(local_rotation([0, 0, 0, 0, np.pi, 0]))
     assert np.allclose(beta2_pi, np.kron(np.eye(2), 1j * SIGMA_Y), atol=1e-13)
 
 
@@ -91,10 +105,10 @@ def test_local_rotation_tensor_structure():
     rng = np.random.default_rng(5)
     for _ in range(50):
         ang = rng.uniform(-10, 10, 6)
-        R = local_rotation(ang)
+        R = unembed(local_rotation(ang))
         assert is_unitary(R)
-        u1 = local_rotation(np.r_[ang[:3], 0, 0, 0])[[0, 2]][:, [0, 2]]
-        u2 = local_rotation(np.r_[0, 0, 0, ang[3:]])[:2, :2]
+        u1 = unembed(local_rotation(np.r_[ang[:3], 0, 0, 0]))[[0, 2]][:, [0, 2]]
+        u2 = unembed(local_rotation(np.r_[0, 0, 0, ang[3:]]))[:2, :2]
         assert np.allclose(R, np.kron(u1, u2), atol=1e-12)
 
 
@@ -106,7 +120,8 @@ def test_local_rotation_matches_exponentials():
         g1, b1, a1, g2, b2, a2 = rng.uniform(-12, 12, 6)
         u1 = expm(0.5j * g1 * SIGMA_Z) @ expm(0.5j * b1 * SIGMA_Y) @ expm(0.5j * a1 * SIGMA_Z)
         u2 = expm(0.5j * g2 * SIGMA_Z) @ expm(0.5j * b2 * SIGMA_Y) @ expm(0.5j * a2 * SIGMA_Z)
-        assert np.allclose(local_rotation([g1, b1, a1, g2, b2, a2]), np.kron(u1, u2), atol=1e-12)
+        R = unembed(local_rotation([g1, b1, a1, g2, b2, a2]))
+        assert np.allclose(R, np.kron(u1, u2), atol=1e-12)
 
 
 def test_trace_fidelity_trivials():
@@ -145,6 +160,6 @@ def test_local_rotation_grad_matches_central_differences():
     for s in range(6):
         step = np.zeros(6)
         step[s] = h
-        dR = (local_rotation(angles + step) - local_rotation(angles - step)) / (2 * h)
+        dR = unembed(local_rotation(angles + step) - local_rotation(angles - step)) / (2 * h)
         fd = np.einsum("...ij,...ji->...", W, dR).real
         assert np.allclose(g[..., s], fd, rtol=1e-7, atol=1e-8)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from entseq.gate_algebra import is_unitary, pauli_product, trace_fidelity
+from entseq.gate_algebra import is_unitary, pauli_product, trace_fidelity, unembed
 from entseq.noise_model import (
     ALL_CHANNELS,
     Ensemble,
@@ -177,21 +177,46 @@ def test_vjp_matches_partial_trace_reference(kind, sigma_local, N):
     factors, delta_eta = ensemble_slices(make_ensemble(cfg, N, M))
     pullback = ensemble_gates_vjp(x, factors, delta_eta)[2]
     G = rng.normal(size=(M + 1, 4, 4)) + 1j * rng.normal(size=(M + 1, 4, 4))
-    ref = chain_angle_gradient(x, factors, delta_eta, G)
+    ref = chain_angle_gradient(x, unembed(factors), delta_eta, G)
     assert np.abs(pullback(G[:-1], G[-1]) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("kind", [QUASISTATIC, ONE_OVER_F])
+def test_layout_without_angle_noise_has_one_row(kind):
+    # with sigma_local = 0 the layout keeps one zero delta_eta row, which the
+    # kernel broadcasts; spelled out as M + 1 zero rows it gives the same
+    # gates and pullback
+    M, N = 6, 3
+    cfg = NoiseConfig(kind=kind, sigma_nonlocal=0.2, channels=ALL_CHANNELS, seed=17)
+    assert ensemble_slices(make_ensemble(replace(cfg, sigma_local=0.02), N, M))[1].shape \
+        == (M + 1, N, 6)
+    factors, delta_eta = ensemble_slices(make_ensemble(cfg, N, M))
+    assert factors.shape == (M + 1, N, 8, 8) and delta_eta.shape == (1, N, 6)
+    assert not delta_eta.any()
+    rng = np.random.default_rng(18)
+    x = rng.uniform(-np.pi, np.pi, 6 * N)
+    G = rng.normal(size=(M + 1, 4, 4)) + 1j * rng.normal(size=(M + 1, 4, 4))
+    U, O, pullback = ensemble_gates_vjp(x, factors, delta_eta)
+    U_rows, O_rows, pullback_rows = ensemble_gates_vjp(x, factors, np.zeros((M + 1, N, 6)))
+    for a, b in ((U, U_rows), (O, O_rows), (pullback(G[:-1], G[-1]), pullback_rows(G[:-1], G[-1]))):
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
 
 
 def test_ensemble_slices_of_concatenated_records():
     # the layout reads the coefficients, not the noise kind: two records of
     # either kind, concatenated as the contour concatenates its grid points,
     # lay out as each does alone
+    def rows(layout):
+        # the complex factors, and a one-row delta_eta spelled out per member
+        return unembed(layout[0]), np.broadcast_to(layout[1], layout[0].shape[:2] + (6,))
+
     a = make_ensemble(QS, 2, 2)
     b = make_ensemble(replace(QS, kind=ONE_OVER_F), 2, 1)
-    factors, delta_eta = ensemble_slices(Ensemble(np.concatenate([a.delta, b.delta]),
-                                                  np.concatenate([a.delta_eta, b.delta_eta]),
-                                                  QS.channels))
+    factors, delta_eta = rows(ensemble_slices(Ensemble(np.concatenate([a.delta, b.delta]),
+                                                       np.concatenate([a.delta_eta, b.delta_eta]),
+                                                       QS.channels)))
     for lo, hi, part in ((0, 2, a), (2, 3, b)):
-        alone = ensemble_slices(part)
+        alone = rows(ensemble_slices(part))
         assert np.allclose(factors[lo:hi], alone[0][:-1], rtol=0, atol=1e-14)
         assert np.array_equal(delta_eta[lo:hi], alone[1][:-1])
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entseq.gate_algebra import expm_hermitian, local_rotation
+from entseq.gate_algebra import expm_hermitian, local_rotation, unembed
 from entseq.weyl_geometry import (
     canonical_gate,
     cartan_decompose,
@@ -119,7 +119,7 @@ def _reference_D(U):
 def _dressed(c, rng):
     """Canonical gates A(c) between random local rotations."""
     A = np.stack([canonical_gate(*ci) for ci in c])
-    k1, k2 = local_rotation(rng.uniform(-np.pi, np.pi, size=(2, len(c), 6)))
+    k1, k2 = unembed(local_rotation(rng.uniform(-np.pi, np.pi, size=(2, len(c), 6))))
     return k1 @ A @ k2
 
 
