@@ -195,18 +195,18 @@ def _band_weights(alpha, nu_min, nu_max, n_fluctuators):
 _MEMBER_BLOCK = 64
 
 
-def _telegraph(rates, weights, t, up, u):
-    """The weighted fluctuator bank ``weights @ states`` at ``t[1:]``
-    ``(b, ...)``, carried across the gaps of the time-major read times ``t``
-    ``(b + 1, ...)``: from the states ``up`` ``(..., F)`` at ``t[0]``, a
-    fluctuator flips across a gap ``dt`` where its uniform in ``u``
-    ``(b, ..., F)`` is below ``(1 - exp(-4 nu dt)) / 2``, the chance of an odd
-    number of rate-``2 nu`` switches."""
+def _telegraph(rates, weights, t, u):
+    """The weighted fluctuator bank ``weights @ states`` ``(N, ...)`` at the
+    time-major read times ``t`` ``(N, ...)``, from one uniform in ``u``
+    ``(N, ..., F)`` per read and fluctuator: a fluctuator starts at a
+    stationary +1 where ``u[0] < 0.5``, and flips across a gap ``dt`` where its
+    uniform is below ``(1 - exp(-4 nu dt)) / 2``, the chance of an odd number
+    of rate-``2 nu`` switches."""
     gaps = np.ascontiguousarray(np.diff(t, axis=0))[..., None]
-    # thresholds first: the flips take their time-major layout whatever the
-    # layout of u, so each step below works on whole contiguous rows
-    states = -0.5 * np.expm1(-4.0 * rates * gaps) > u
-    states[0] ^= up
+    # time-major whatever the layout of u: each step below works on whole rows
+    states = np.empty(u.shape, dtype=bool)
+    np.less(u[0], 0.5, out=states[0])
+    np.greater(-0.5 * np.expm1(-4.0 * rates * gaps), u[1:], out=states[1:])
     # the running XOR over time in log2 steps (numpy reads an overlapping
     # operand as if copied first)
     shift = 1
@@ -233,8 +233,8 @@ def make_ensemble(config, N, M, seed=None):
       then the banks' initial states ``(K, F)`` (a fluctuator starts at +1
       where its uniform is below 0.5) and flips ``(N - 1, K, F)``, time-major.
 
-    Only the draws are per member.  Scaling them and the telegraph arithmetic
-    run once per block of members, and each draw is scaled as
+    Only the draws are per member.  Their scaling and one ``_telegraph`` call
+    for all N reads run once per block of members.  Each draw is scaled as
     ``Generator.normal`` and ``Generator.uniform`` scale it (``0.0 + sigma z``,
     ``lo + (hi - lo) u``), so every member is bit-equal to drawing it with
     those calls, member by member.
@@ -261,11 +261,7 @@ def make_ensemble(config, N, M, seed=None):
             t = np.moveaxis(lo + (hi - lo) * u[:, :K * N].reshape(-1, K, N), -1, 0)
             # (N, members, K, F): the initial states' uniforms, then the flips'
             s = np.moveaxis(u[:, K * N:].reshape(-1, N, K, F), 1, 0)
-            up = s[0] < 0.5
-            block = banks[:, a:a + _MEMBER_BLOCK]
-            block[0] = np.where(up, 1.0, -1.0) @ weights
-            if N > 1:
-                block[1:] = _telegraph(rates, weights, t, up, s[1:])
+            banks[:, a:a + _MEMBER_BLOCK] = _telegraph(rates, weights, t, s)
         banks = np.moveaxis(banks, 0, 1)
         delta = config.sigma_nonlocal * banks[..., :C]
         delta_eta = config.sigma_local * banks[..., C:]

@@ -110,18 +110,13 @@ def ensemble_slices(ensemble):
     When no member perturbs the angles the perturbations are one zero row
     ``(1, N, 6)``, which the kernel broadcasts over the members.
 
-    All noise generators are diagonalized in one batched call: one per member
-    when every member's coefficients repeat across the segments, as
-    quasistatic ones do, else one per member and segment.
+    One product with the flattened Paulis forms every member's generator in
+    every segment, of either noise kind, and one batched call diagonalizes them.
     """
     delta = ensemble.delta
-    M, N = delta.shape[:2]
-    sig = pauli_stack(ensemble.channels)
-    if (delta == delta[:, :1]).all():
-        D = expm_hermitian(np.einsum("mc,cab->mab", delta[:, 0], sig), 1.0 / N)
-        D = np.broadcast_to(D[:, None], (M, N, 4, 4))
-    else:
-        D = expm_hermitian(np.einsum("mnc,cab->mnab", delta, sig), 1.0 / N)
+    M, N, C = delta.shape
+    H = delta @ pauli_stack(ensemble.channels).reshape(C, 16)
+    D = expm_hermitian(H.reshape(M, N, 4, 4), 1.0 / N)
     Z = zz_phase_slice(N)
     # Z is diagonal, so Z D scales the rows of D
     factors = embed(np.concatenate([np.diagonal(Z)[:, None] * D,

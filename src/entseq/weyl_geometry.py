@@ -7,8 +7,9 @@ invariants do not depend on this choice but the Cartan factors k1, k2 do.
 
 The canonical nonlocal gate is ``A(c) = exp[-i/2 (c1 XX + c2 YY + c3 ZZ)]``
 and Weyl coordinates are reported in radians, folded into the canonical cell
-``c2 <= min(c1, pi - c1)``, ``0 <= c3 <= c2``, ``c1 in [0, pi]``.  The
-perfect-entangler fidelity needs no fold: it reads the Gram spectrum's widest gap.
+``c2 <= min(c1, pi - c1)``, ``0 <= c3 <= c2``, ``c1 in [0, pi]`` (``c1 <= pi/2``
+at ``c3 = 0``).  The perfect-entangler fidelity needs no fold: it reads the Gram
+spectrum's widest gap.
 
 Note on ``g2``: its sign flips under complex conjugation of the gate and
 differs between published tables depending on which square root / transpose
@@ -30,6 +31,8 @@ MAGIC = np.array(
     dtype=complex,
 ) / np.sqrt(2)
 _MAGIC_DAG = MAGIC.conj().T
+# a Weyl c3 at or below this (in units of pi) is 0, where c1 and pi - c1 name one gate
+WEYL_ZERO_C3 = 1e-12
 
 
 def _unitary(U, name):
@@ -111,9 +114,10 @@ def weyl_coordinates_many(U):
     c1 = s[..., 0] + s[..., 1]
     c2 = s[..., 0] + s[..., 2]
     c3 = s[..., 1] + s[..., 2]
-    flip = c3 < 0
+    zero = np.abs(c3) <= WEYL_ZERO_C3
+    flip = np.where(zero, c1 > 0.5, c3 < 0)
     c1 = np.where(flip, 1.0 - c1, c1)
-    c3 = np.where(flip, -c3, c3)
+    c3 = np.where(zero, 0.0, np.abs(c3))
     return np.stack([c1, c2, c3], axis=-1) * np.pi
 
 

@@ -247,8 +247,9 @@ def telegraph_bank(config, times, rng):
     gaps = np.diff(t, axis=0)[..., None]
     flips = rng.random(gaps.shape[:-1] + rates.shape) < -0.5 * np.expm1(-4.0 * rates * gaps)
     flips[:1] ^= up
-    # the first read in a product of its own, as make_ensemble computes it:
-    # BLAS may round a row differently by its place in a product
+    # the first read in a product of its own: make_ensemble reads all N in one
+    # product, so this checks that the product rounds each row as a separate
+    # product would (BLAS may round a row differently by its place in it)
     out = np.empty(t.shape)
     out[0] = np.where(up, 1.0, -1.0) @ weights
     out[1:] = np.where(np.logical_xor.accumulate(flips, axis=0), 1.0, -1.0) @ weights

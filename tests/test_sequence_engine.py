@@ -204,21 +204,31 @@ def test_layout_without_angle_noise_has_one_row(kind):
 
 def test_ensemble_slices_of_concatenated_records():
     # the layout reads the coefficients, not the noise kind: two records of
-    # either kind, concatenated as the contour concatenates its grid points,
-    # lay out as each does alone
+    # either kind, concatenated in either order as the contour concatenates
+    # its grid points, lay out bit for bit as each does alone, so a member's
+    # factors do not depend on its place in the batched product
     def rows(layout):
         # the complex factors, and a one-row delta_eta spelled out per member
         return unembed(layout[0]), np.broadcast_to(layout[1], layout[0].shape[:2] + (6,))
 
-    a = make_ensemble(QS, 2, 2)
-    b = make_ensemble(replace(QS, kind=ONE_OVER_F), 2, 1)
-    factors, delta_eta = rows(ensemble_slices(Ensemble(np.concatenate([a.delta, b.delta]),
-                                                       np.concatenate([a.delta_eta, b.delta_eta]),
-                                                       QS.channels)))
-    for lo, hi, part in ((0, 2, a), (2, 3, b)):
-        alone = rows(ensemble_slices(part))
-        assert np.allclose(factors[lo:hi], alone[0][:-1], rtol=0, atol=1e-14)
-        assert np.array_equal(delta_eta[lo:hi], alone[1][:-1])
+    for N in (1, 2, 5):
+        a = make_ensemble(QS, N, 20)
+        b = make_ensemble(replace(QS, kind=ONE_OVER_F), N, 7)
+        for parts in ((a, b), (b, a)):
+            factors, delta_eta = rows(ensemble_slices(Ensemble(
+                np.concatenate([p.delta for p in parts]),
+                np.concatenate([p.delta_eta for p in parts]), QS.channels)))
+            lo = 0
+            for part in parts:
+                hi = lo + len(part.delta)
+                alone = rows(ensemble_slices(part))
+                assert np.array_equal(factors[lo:hi], alone[0][:-1])
+                assert np.array_equal(delta_eta[lo:hi], alone[1][:-1])
+                lo = hi
+        # a quasistatic member repeats its coefficients, and so its factor,
+        # in every segment
+        qs = ensemble_slices(a)[0]
+        assert np.array_equal(qs, np.broadcast_to(qs[:, :1], qs.shape))
 
 
 def test_gate_error_trivials():

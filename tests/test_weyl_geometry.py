@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from entseq.gate_algebra import expm_hermitian, local_rotation, unembed
+from entseq.sequence_engine import SequenceParams, target_gate
 from entseq.weyl_geometry import (
     canonical_gate,
     cartan_decompose,
@@ -253,6 +254,25 @@ def test_cartan_decompose_recovers_dressed_coordinates():
         U = random_local(rng) @ canonical_gate(*c_in) @ random_local(rng)
         _, c_out, _ = cartan_decompose(U)
         assert np.allclose(c_out, c_in, atol=1e-8)
+
+
+def test_weyl_fold_at_c3_zero_picks_one_point():
+    # at c3 = 0, c1 and pi - c1 name one gate class, and an N = 2 sequence
+    # always has c3 = 0: rounding noise in c3, of either sign, must not choose
+    # between the two points
+    rng = np.random.default_rng(14)
+    n2 = target_gate(SequenceParams(2, rng.uniform(-np.pi, np.pi, 12)))
+    for A in (canonical_gate(2.0, 0.6, 1e-17), canonical_gate(2.0, 0.6, -1e-17), n2):
+        points = []
+        for _ in range(20):
+            U = random_local(rng) @ A @ random_local(rng)
+            points += [weyl_coordinates(U), cartan_decompose(U)[1]]
+            assert _reconstruction_residual(U) < 1e-8
+        points = np.array(points)
+        assert np.all(points[:, 0] <= np.pi / 2) and np.all(points[:, 2] == 0.0)
+        assert np.abs(points - points[0]).max() <= 1e-9
+        if A is not n2:
+            assert np.allclose(points[0], [np.pi - 2.0, 0.6, 0.0], rtol=0, atol=1e-9)
 
 
 def test_cartan_decompose_error_reports_residual():
