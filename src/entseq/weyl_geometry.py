@@ -1,9 +1,11 @@
 """Two-qubit gate geometry: local invariants, Weyl-chamber coordinates,
 perfect-entangler measures, and the Cartan (KAK) decomposition.
 
-Magic (Bell) basis convention, fixed for the whole package: columns of ``MAGIC``
-are ``(|00>+|11>, -i|00>+i|11>, |01>-|10>, -i|01>-i|10>) / sqrt(2)``.  The local
-invariants do not depend on this choice but the Cartan factors k1, k2 do.
+The invariants, the Weyl point and the perfect-entangler measures read the
+spin-flipped Gram matrix ``(YY U^T YY) U`` of the SU(4)-normalized gate
+(Makhlin, Quantum Inf. Process. 1, 243 (2002)).  The magic (Bell) basis, the
+columns ``(|00>+|11>, -i|00>+i|11>, |01>-|10>, -i|01>-i|10>) / sqrt(2)`` of
+``MAGIC``, enters only :func:`canonical_gate` and the Cartan factors k1, k2.
 
 The canonical nonlocal gate is ``A(c) = exp[-i/2 (c1 XX + c2 YY + c3 ZZ)]``
 and Weyl coordinates are reported in radians, folded into the canonical cell
@@ -19,7 +21,7 @@ perfect-entangler measures) depends only on ``g2**2``.
 
 import numpy as np
 
-from .gate_algebra import embed, is_unitary, unembed
+from .gate_algebra import is_unitary
 
 MAGIC = np.array(
     [
@@ -33,6 +35,8 @@ MAGIC = np.array(
 _MAGIC_DAG = MAGIC.conj().T
 # a Weyl c3 at or below this (in units of pi) is 0, where c1 and pi - c1 name one gate
 WEYL_ZERO_C3 = 1e-12
+# YY A^T YY is A transposed about its antidiagonal, with these signs
+_SPIN_FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
 
 
 def _unitary(U, name):
@@ -50,29 +54,19 @@ def to_su4(U):
     return U / det[..., None, None] ** 0.25 if U.ndim > 2 else U / det ** 0.25
 
 
-# the basis change and the transpose in the real form of gate_algebra.embed:
-# embed(V^T) is embed(V)^T with its off-diagonal blocks negated
-_MAGIC_DAG_REAL = embed(_MAGIC_DAG)
-_MAGIC_REAL = embed(MAGIC)
-_TRANSPOSE_SIGNS = np.kron([[1.0, -1.0], [-1.0, 1.0]], np.ones((4, 4)))
-
-
-def _magic_gram(U):
-    """The SU(4)-normalized gate in the magic basis and its Gram matrix.
-
-    Returns ``(V, m, c)``: ``c = det(U)^(1/4)`` (principal root, shape
-    ``(..., 1, 1)``), ``V = MAGIC^dag (U / c) MAGIC`` and ``m = V^T V``, both
-    multiplied out in real form.
-    """
+def _gram(U):
+    """``(F, m, c)``: ``c = det(U)^(1/4)`` (principal root, shape ``(..., 1, 1)``),
+    the spin flip ``F = YY (U / c)^T YY`` and the Gram matrix ``m = F U / c``,
+    which is the magic-basis ``V^T V`` written in the computational basis."""
     U = np.asarray(U, dtype=complex)
     c = np.sqrt(np.sqrt(np.linalg.det(U)))[..., None, None]
-    V = _MAGIC_DAG_REAL @ embed(U / c) @ _MAGIC_REAL
-    m = (np.swapaxes(V, -1, -2) * _TRANSPOSE_SIGNS) @ V
-    return unembed(V), unembed(m), c
+    W = U / c
+    F = _SPIN_FLIP_SIGNS * np.swapaxes(W[..., ::-1, ::-1], -1, -2)
+    return F, F @ W, c
 
 
 def _gram_invariants(m):
-    """(g1, g2, g3) of a magic-basis Gram matrix, with ``tr m`` and ``tr m^2``."""
+    """(g1, g2, g3) of a :func:`_gram` matrix, with ``tr m`` and ``tr m^2``."""
     tr = np.einsum("...ii->...", m)
     tr_m2 = np.einsum("...ij,...ji->...", m, m)
     tr2 = tr * tr
@@ -83,7 +77,7 @@ def _gram_invariants(m):
 
 def makhlin_invariants_many(U):
     """(g1, g2, g3) arrays for a batch of unitaries, shape ``(..., 4, 4)``."""
-    return _gram_invariants(_magic_gram(U)[1])[0]
+    return _gram_invariants(_gram(U)[1])[0]
 
 
 def makhlin_invariants(U):
@@ -96,13 +90,13 @@ def makhlin_invariants(U):
 def weyl_coordinates_many(U):
     """Weyl-chamber coordinates, batched; returns shape ``(..., 3)`` in radians.
 
-    Eigenphases of the magic-basis Gram matrix, phase-sorted and folded into
-    the canonical cell.  The fold keeps the total phase constraint
-    (sum of eigenphases = 0 mod 2*pi) intact, so degenerate eigenvalues are
-    harmless: only the sorted phase multiset enters.
+    Eigenphases of the Gram matrix, phase-sorted and folded into the
+    canonical cell.  The fold keeps the total phase constraint (sum of
+    eigenphases = 0 mod 2*pi) intact, so degenerate eigenvalues are harmless:
+    only the sorted phase multiset enters.
     """
-    ev = np.linalg.eigvals(_magic_gram(U)[1])
-    # A(c) has magic-basis Gram eigenphases -(c1-c2+c3), -(-c1+c2+c3),
+    ev = np.linalg.eigvals(_gram(U)[1])
+    # A(c)'s Gram matrix is A(c)^2, eigenphases -(c1-c2+c3), -(-c1+c2+c3),
     # (c1+c2+c3), -(c1+c2-c3): recover c from the negated half-phases.
     two_s = -np.angle(ev) / np.pi
     two_s = np.where(two_s <= -0.5, two_s + 2.0, two_s)
@@ -238,33 +232,31 @@ def pe_functional_value_and_grad(U):
     ``dD = Re tr(G dU)`` for unitary ``U``; G is zero where D is.  D is
     bit-equal to :func:`pe_functional_many`'s.
 
-    With ``m`` the magic-basis Gram matrix of the normalized gate (so
-    ``det = 1``), ``a = tr(m)^2`` and ``b = tr(m^2)``: ``g1 + i g2 = a/16``,
+    With ``m`` the Gram matrix of the normalized gate (so ``det = 1``),
+    ``a = tr(m)^2`` and ``b = tr(m^2)``: ``g1 + i g2 = a/16``,
     ``g3 = Re(a - b)/4`` and ``r = |a|/16``.  Their differentials are
     ``da = tr(A dU)`` and ``db = tr(B dU)`` with
-    ``A = (4 tr m / c) MAGIC V^T MAGIC^dag - a U^dag`` and
-    ``B = (4 / c) MAGIC m V^T MAGIC^dag - b U^dag`` (``V``, ``c`` as in
-    ``_magic_gram``), and ``dd = Re[alpha da - beta db]`` with
+    ``A = (4 tr m / c) F - a U^dag`` and ``B = (4 / c) m F - b U^dag``
+    (``F``, ``c`` as in ``_gram``), and ``dd = Re[alpha da - beta db]`` with
     ``alpha = r/4 + g3 conj(g1 + i g2)/(16 r) - 1/16`` and ``beta = r/4``.
     ``D = |d|`` where the same side test as in :func:`pe_functional_many`
     holds, so ``G = sign(d) (alpha A - beta B)`` there, computed on those
     rows only.  r > 0 wherever it holds: r = 0 means g1 = g2 = 0, so d = 0.
     """
-    V, m, c = _magic_gram(U)
+    F, m, c = _gram(U)
     g, tr, tr_m2 = _gram_invariants(m)
     D, d, outside = _pe_side(g)
     G = np.zeros(np.shape(U), dtype=complex)
     if not outside.any():
         return D, G
-    U, V, m, c, tr, tr_m2, d, g1, g2, g3 = (
-        a[outside] for a in (np.asarray(U), V, m, c, tr, tr_m2, d) + g)
+    U, F, m, c, tr, tr_m2, d, g1, g2, g3 = (
+        a[outside] for a in (np.asarray(U), F, m, c, tr, tr_m2, d) + g)
     r = np.hypot(g1, g2)
     alpha = r / 4.0 + g3 * (g1 - 1j * g2) / (16.0 * r) - 1.0 / 16.0
     beta = r / 4.0
-    # alpha A - beta B = (4/c) MAGIC (alpha tr(m) - beta m) V^T MAGIC^dag
-    #                    - (alpha a - beta b) U^dag
+    # alpha A - beta B = (4/c) (alpha tr(m) - beta m) F - (alpha a - beta b) U^dag
     core = (alpha * tr)[..., None, None] * np.eye(4) - beta[..., None, None] * m
-    G_out = (4.0 / c) * (MAGIC @ core @ np.swapaxes(V, -1, -2) @ _MAGIC_DAG)
+    G_out = (4.0 / c) * (core @ F)
     G_out -= (alpha * tr * tr - beta * tr_m2)[..., None, None] * np.conj(np.swapaxes(U, -1, -2))
     G[outside] = np.sign(d)[..., None, None] * G_out
     return D, G
@@ -286,7 +278,7 @@ def pe_fidelity_many(U):
     ``w - pi`` is twice the excess over the face it lies beyond (``pi/2 - c1 - c2``,
     ``c2 + c3 - pi/2`` or ``c1 - c2 - pi/2``).  Gaps ignore the global phase.
     """
-    theta = np.sort(np.angle(np.linalg.eigvals(_magic_gram(U)[1])), axis=-1)
+    theta = np.sort(np.angle(np.linalg.eigvals(_gram(U)[1])), axis=-1)
     gaps = np.diff(theta, axis=-1, append=theta[..., :1] + 2.0 * np.pi)
     return np.cos(np.maximum(gaps.max(axis=-1) - np.pi, 0.0) / 8.0) ** 2
 

@@ -27,6 +27,7 @@ from oracles import (
     SWAP,
     canonical_gate_expm,
     invariants_det_form,
+    invariants_from_weyl,
     pe_fidelity_three_faces,
     random_local,
     random_unitary,
@@ -149,6 +150,22 @@ def _near_face_gates(rng, n=5000):
         step *= 10.0 ** rng.uniform(-10, -1, size=(n, 1)) / np.linalg.norm(step, axis=1, keepdims=True)
         sets[name] = _dressed(corner + step, rng)
     return sets
+
+
+def test_spin_flip_gram_matches_magic_basis_oracle():
+    # the package reads the invariants and the Weyl point from the spin-flipped
+    # Gram matrix in the computational basis; the oracle changes to the magic
+    # basis and divides by the determinant, and the closed form starts from
+    # the folded coordinates
+    rng = np.random.default_rng(21)
+    sets = {"haar": np.stack([random_unitary(4, rng) for _ in range(1000)]),
+            **_near_face_gates(np.random.default_rng(12))}
+    for name, U in sets.items():
+        g = np.stack(makhlin_invariants_many(U))
+        ref = np.array([invariants_det_form(u) for u in U]).T
+        assert np.abs(g - ref).max() <= 1e-12, name
+        closed = np.stack(invariants_from_weyl(*weyl_coordinates_many(U).T))
+        assert np.abs(closed - np.stack([g[0], np.abs(g[1]), g[2]])).max() <= 1e-9, name
 
 
 def test_pe_consistency_random_gates():
