@@ -28,7 +28,6 @@ from .noise_model import (
     make_ensemble,
 )
 from .sequence_engine import (
-    EnsembleMetrics,
     SequenceParams,
     calibrate_amplitude,
     ensemble_gates,

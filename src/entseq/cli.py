@@ -157,8 +157,8 @@ def cmd_optimize(args):
     results = cascade_optimize(n_list, noise, opt, out=out, progress=progress)
     csv_path = write_atomic(out / "optimize_summary.csv", "".join(
         ["N,epsilon_uncorrected,epsilon_optimized,epsilon_pe,iterations,wall_time_s\n"]
-        + [f"{res.params.N},{_fmt(res.epsilon_uncorrected)},{_fmt(res.final_metrics.epsilon)},"
-           f"{_fmt(res.final_metrics.epsilon_pe)},{res.iterations},{res.wall_time_s:.3f}\n"
+        + [f"{res.params.N},{_fmt(res.epsilon_uncorrected)},{_fmt(res.epsilon)},"
+           f"{_fmt(res.epsilon_pe)},{res.iterations},{res.wall_time_s:.3f}\n"
            for res in results]))
     print(f"wrote {csv_path} and {len(results)} solution files to {out}")
     if len(results) != len(n_list):
@@ -212,7 +212,7 @@ def cmd_contour(args):
         members = Ensemble(np.concatenate([p.delta for p in parts]),
                            np.concatenate([p.delta_eta for p in parts]), noise.channels)
         U, O = ensemble_gates(params.angles, *ensemble_slices(members))
-        # each point's row is reduced with np.mean's pairwise sum, as in evaluate_solution
+        # each point's row is reduced with np.mean's pairwise sum, as in cmd_evaluate
         eps += gate_error(U, O).reshape(len(block), M).mean(axis=1).tolist()
 
     csv_path = write_atomic(out / "contour.csv", "".join(
@@ -247,13 +247,15 @@ def cmd_evaluate(args):
         with _refused("seeds.ensemble_seed"):
             sampled = replace(noise, seed=_stored(sol_doc, "seeds", "ensemble_seed"))
     _output_dir(args.out)
-    metrics = evaluate_solution(params, make_ensemble(sampled, params.N, M))
+    eps, eps_pe = evaluate_solution(params, make_ensemble(sampled, params.N, M))
     payload = {
         "N": params.N,
         "noise": noise.to_dict(),
         "M": M,
         "ensemble_seed": sampled.seed,
-        **metrics.to_dict(),
+        "epsilon": float(np.mean(eps)),
+        "epsilon_pe": float(np.mean(eps_pe)),
+        "per_realization": np.column_stack([eps, eps_pe]).tolist(),
     }
     print(_write_report(payload, args.out, "evaluation.json"))
     return 0
@@ -295,7 +297,9 @@ def cmd_decompose(args):
     print(f"U = k1 exp[-i/2 ({c[0]:.3f} XX + {c[1]:.3f} YY + {c[2]:.3f} ZZ)] k2")
     print(f"k1 = {line1}")
     print(f"k2 = {line2}")
-    print(f"Makhlin invariants: g1={g[0]:+.6f} g2={g[1]:+.6f} g3={g[2]:+.6f}")
+    # + 0.0 turns a -0.0 left by rounding (g2 of an N = 2 gate) into +0.0
+    print("Makhlin invariants: "
+          + " ".join(f"g{i}={round(v, 6) + 0.0:+.6f}" for i, v in enumerate(g, 1)))
     print(f"F_PE = {report['pe_fidelity']:.9f}   D = {report['pe_functional_D']:.3e}")
     _write_report(report, args.out, "decomposition.json")
     return 0

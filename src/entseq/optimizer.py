@@ -56,11 +56,7 @@ from .sequence_engine import (
     ensemble_slices,
     gate_error,
 )
-from .weyl_geometry import (
-    pe_fidelity_many,
-    pe_functional_many,
-    pe_functional_value_and_grad,
-)
+from .weyl_geometry import pe_functional_many, pe_functional_value_and_grad
 
 TERM_TOL_J = "tol_J"
 TERM_TOL_GRADJ = "tol_gradJ"
@@ -114,7 +110,8 @@ class OptimizationResult:
     params: SequenceParams
     J_final: float
     J_history: list
-    final_metrics: object
+    epsilon: float      # mean gate error over the ensemble the length was solved on
+    epsilon_pe: float   # mean PE error over the same ensemble
     iterations: int
     termination_reason: str
     config: dict
@@ -131,8 +128,8 @@ class OptimizationResult:
             "angles": self.params.angles.tolist(),
             "J_final": self.J_final,
             "J_history": [float(v) for v in self.J_history],
-            "epsilon": self.final_metrics.epsilon,
-            "epsilon_pe": self.final_metrics.epsilon_pe,
+            "epsilon": self.epsilon,
+            "epsilon_pe": self.epsilon_pe,
             "iterations": self.iterations,
             "termination_reason": self.termination_reason,
             "config": self.config,
@@ -179,10 +176,11 @@ class SequenceObjective:
         return objective_value(U, O, pe_functional_many(U), d_weight)
 
     def epsilon_pe(self, x):
-        return float(np.mean(1.0 - pe_fidelity_many(self.gates(x)[0])))
+        return float(np.mean(self.metrics(x)[1]))
 
     def metrics(self, x):
-        """Full EnsembleMetrics at x (per-realization eps and eps_PE)."""
+        """Each member's gate error and PE error ``(eps, eps_pe)`` at x, two
+        ``(M,)`` arrays (``sequence_engine.ensemble_metrics``)."""
         return ensemble_metrics(*self.gates(x))
 
     def value_and_grad(self, x, d_weight=1.0):
@@ -413,11 +411,13 @@ def cascade_optimize(N_list, noise_config, optimizer_config, out=None,
             best = _search(
                 obj, inits, optimizer_config, np.random.default_rng(search_seed), descents
             )
+            eps, eps_pe = obj.metrics(best.x)
             result = OptimizationResult(
                 params=SequenceParams(N, best.x),
                 J_final=best.J,
                 J_history=[J for d in descents for J in d.history],
-                final_metrics=obj.metrics(best.x),
+                epsilon=float(np.mean(eps)),
+                epsilon_pe=float(np.mean(eps_pe)),
                 iterations=sum(d.nit for d in descents),
                 termination_reason=classify_termination(best.message, best.nit),
                 config={
@@ -442,8 +442,8 @@ def cascade_optimize(N_list, noise_config, optimizer_config, out=None,
         results.append(result)
         if progress is not None:
             progress(
-                f"N={N}: J={result.J_final:.3e} eps={result.final_metrics.epsilon:.3e} "
-                f"eps_pe={result.final_metrics.epsilon_pe:.2e} iters={result.iterations} "
+                f"N={N}: J={result.J_final:.3e} eps={result.epsilon:.3e} "
+                f"eps_pe={result.epsilon_pe:.2e} iters={result.iterations} "
                 f"({result.wall_time_s:.1f}s)"
             )
     return results

@@ -27,7 +27,8 @@ and ``ensemble_gates_vjp`` adds the reverse pass: it conjugates
 each angle's derivative from the traces of the result against the six
 single-qubit Paulis, weighted by the member's own Euler angles.  The
 metrics are pure functions of (U, O) (``ensemble_metrics`` here, J and its
-cotangents in ``optimizer``).
+cotangents in ``optimizer``); each member's errors leave as arrays, and the
+callers take the means they report.
 
 Entangling-slice convention: ``Z_N`` is the principal Nth root of the 2*pi
 phase gate, ``diag(1, 1, 1, exp(2j*pi/N))``, i.e. slicing the identity into N
@@ -78,22 +79,6 @@ class SequenceParams:
         tiled to length d*times)."""
         tiles = np.tile(self.angles.reshape(self.N, 6), (times, 1))
         return SequenceParams(self.N * times, tiles.ravel())
-
-
-@dataclass
-class EnsembleMetrics:
-    """Noise-ensemble gate-error and PE-error averages."""
-
-    epsilon: float
-    epsilon_pe: float
-    per_realization: list   # [(eps_m, eps_pe_m), ...]
-
-    def to_dict(self):
-        return {
-            "epsilon": self.epsilon,
-            "epsilon_pe": self.epsilon_pe,
-            "per_realization": [[float(a), float(b)] for a, b in self.per_realization],
-        }
 
 
 def zz_phase_slice(N):
@@ -231,16 +216,14 @@ def gate_error(U, O):
 
 
 def ensemble_metrics(U, O):
-    """Gate error and PE error of noisy gates ``U`` against the target ``O``."""
-    eps = gate_error(U, O)
-    eps_pe = 1.0 - pe_fidelity_many(U)
-    per = list(zip(eps.tolist(), eps_pe.tolist()))
-    # np.mean reduces float64 with pairwise (tree) summation
-    return EnsembleMetrics(float(np.mean(eps)), float(np.mean(eps_pe)), per)
+    """Each member's gate error and PE error ``(eps, eps_pe)``, two ``(M,)``
+    arrays, of noisy gates ``U`` against the target ``O``; callers take the means."""
+    return gate_error(U, O), 1.0 - pe_fidelity_many(U)
 
 
 def evaluate_solution(params, ensemble):
-    """Gate error and PE error of ``params`` averaged over a noise ensemble."""
+    """Each member's gate error and PE error ``(eps, eps_pe)`` of ``params``
+    on a noise ensemble, as :func:`ensemble_metrics`."""
     return ensemble_metrics(*ensemble_gates(params.angles, *ensemble_slices(ensemble)))
 
 

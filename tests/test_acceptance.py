@@ -208,8 +208,8 @@ def test_criterion_04_quasistatic_headline(qs_calibration, qs_cascade):
     sigma = qs_calibration.sigma_nonlocal
     eps_unc = float(np.mean(uncorrected_errors(
         make_ensemble(replace(qs_calibration, seed=ROOT_SEED + 4), 16, 200))))
-    eps16 = qs_cascade[16].final_metrics.epsilon
-    pe_worst = max(r.final_metrics.epsilon_pe for r in qs_cascade.values())
+    eps16 = qs_cascade[16].epsilon
+    pe_worst = max(r.epsilon_pe for r in qs_cascade.values())
     ok = (0.08 <= eps_unc <= 0.12) and (eps16 <= 5e-3) and (pe_worst <= 1e-8)
     line(
         4,
@@ -224,8 +224,8 @@ def test_criterion_04_quasistatic_headline(qs_calibration, qs_cascade):
 
 
 def test_criterion_05_scaling_slope(qs_cascade):
-    e2 = qs_cascade[2].final_metrics.epsilon
-    e8 = qs_cascade[8].final_metrics.epsilon
+    e2 = qs_cascade[2].epsilon
+    e8 = qs_cascade[8].epsilon
     slope = np.log(e8 / e2) / np.log(8 / 2)
     ok = slope <= -1.5
     line(5, ok, f"eps(2)={e2:.3e}, eps(8)={e8:.3e}, log-log slope {slope:.2f} (<= -1.5)")
@@ -252,7 +252,7 @@ def test_criterion_06_noisy_locals(qs_calibration):
         kind=QUASISTATIC, sigma_nonlocal=0.13, sigma_local=0.01, seed=ROOT_SEED + 6
     )
     results = cascade_optimize([2, 4, 8, 16], noise, ACCEPT_OPT, progress=print)
-    eps16 = results[-1].final_metrics.epsilon
+    eps16 = results[-1].epsilon
     fid16 = 1.0 - eps16
     ok = abs(f_local - 0.999) <= 5e-4 and fid16 >= 0.998
     line(
@@ -290,8 +290,8 @@ def test_criterion_07_one_over_f(onef_config, onef_cascade):
         unc = float(np.mean(uncorrected_errors(
             make_ensemble(replace(onef_config, seed=res.seeds["ensemble_seed"]), N, 100)
         )))
-        ratios[N] = unc / res.final_metrics.epsilon
-        pe_worst = max(pe_worst, res.final_metrics.epsilon_pe)
+        ratios[N] = unc / res.epsilon
+        pe_worst = max(pe_worst, res.epsilon_pe)
     ok = abs(alpha_hat - 0.7) <= 0.15 and ratios[8] >= 5.0 and pe_worst <= 1e-8
     line(
         7,
@@ -324,10 +324,10 @@ def test_criterion_08_cross_robustness(qs_calibration, qs_cascade, onef_config,
     onef_eval = replace(onef_config, sigma_local=0.0)
     qs_ens = make_ensemble(qs_calibration, 8, 200, seed=ROOT_SEED + 80)
     of_ens = make_ensemble(onef_eval, 8, 200, seed=ROOT_SEED + 81)
-    A = evaluate_solution(onef_sol, qs_ens).epsilon   # 1/f-opt under quasistatic
-    B = evaluate_solution(qs_sol, qs_ens).epsilon     # qs-opt under quasistatic
-    C = evaluate_solution(qs_sol, of_ens).epsilon     # qs-opt under 1/f
-    D = evaluate_solution(onef_sol, of_ens).epsilon   # 1/f-opt under 1/f
+    A = float(np.mean(evaluate_solution(onef_sol, qs_ens)[0]))   # 1/f-opt under quasistatic
+    B = float(np.mean(evaluate_solution(qs_sol, qs_ens)[0]))     # qs-opt under quasistatic
+    C = float(np.mean(evaluate_solution(qs_sol, of_ens)[0]))     # qs-opt under 1/f
+    D = float(np.mean(evaluate_solution(onef_sol, of_ens)[0]))   # 1/f-opt under 1/f
     clause1 = A <= 2.0 * B
     clause2 = C > 2.0 * D
     ok = clause1 and clause2

@@ -29,7 +29,8 @@ from entseq.optimizer import (
     relative_decrease,
     write_solution,
 )
-from entseq.sequence_engine import SequenceParams, evaluate_solution, gate_error
+from entseq.sequence_engine import (SequenceParams, evaluate_solution, gate_error,
+                                    uncorrected_errors)
 from entseq.weyl_geometry import pe_functional_many
 
 from oracles import any_value
@@ -267,9 +268,30 @@ def test_minimize_noise_free_reaches_perfect_entangler():
     assert res.history[0] >= res.history[-1]
     assert classify_termination(res.message, res.nit) in (
         TERM_TOL_J, TERM_TOL_GRADJ)
-    metrics = obj.metrics(res.x)
-    assert metrics.epsilon == pytest.approx(0.0, abs=1e-10)
-    assert metrics.epsilon_pe <= 1e-8
+    eps, eps_pe = obj.metrics(res.x)
+    assert np.mean(eps) == pytest.approx(0.0, abs=1e-10)
+    assert np.mean(eps_pe) <= 1e-8
+
+
+# local noise gives each member its own row of angle perturbations, and
+# sigma_local = 0 one row that every member shares
+@pytest.mark.parametrize("cfg", [replace(QS, sigma_local=0.01),
+                                 NoiseConfig(seed=11, kind=ONE_OVER_F, sigma_local=0.0)],
+                         ids=["quasistatic", "one_over_f"])
+def test_entry_points_agree_member_by_member(cfg):
+    N, M = 3, 12
+    ensemble = make_ensemble(cfg, N, M)
+    # rotations this small leave every member outside the polyhedron
+    x = np.random.default_rng(12).uniform(-0.5, 0.5, 6 * N)
+    obj = SequenceObjective(ensemble)
+    eps, eps_pe = obj.metrics(x)
+    assert eps.shape == eps_pe.shape == (M,)
+    assert eps_pe.min() > 0.0
+    ref_eps, ref_eps_pe = evaluate_solution(SequenceParams(N, x), ensemble)
+    assert np.array_equal(eps, ref_eps) and np.array_equal(eps_pe, ref_eps_pe)
+    zero = evaluate_solution(SequenceParams(N, np.zeros(6 * N)), ensemble)[0]
+    assert np.array_equal(zero, uncorrected_errors(ensemble))
+    assert obj.epsilon_pe(x) == float(np.mean(eps_pe))
 
 
 def test_minimize_history_matches_objective(monkeypatch):
@@ -445,8 +467,8 @@ def test_cascade_generalizes_to_fresh_ensemble():
     config = OptimizerConfig(ensemble_size=100, polish_rounds=3, n_kicks=4)
     (result,) = cascade_optimize([4], cfg, config)
     fresh = make_ensemble(cfg, 4, 100, seed=999_999)
-    eps_fresh = evaluate_solution(result.params, fresh).epsilon
-    eps_train = result.final_metrics.epsilon
+    eps_fresh = np.mean(evaluate_solution(result.params, fresh)[0])
+    eps_train = result.epsilon
     assert abs(eps_fresh - eps_train) / eps_train < 0.5
 
 
